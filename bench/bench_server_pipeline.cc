@@ -271,11 +271,17 @@ class NullRouter : public BatchRouter {
 
 int RunOracle(PerfRecorder& perf, bool quick) {
   const SimTime kHorizon = quick ? Millis(1600) : Millis(3200);
-
-  std::vector<std::unique_ptr<QueryGraph>> graphs;
-  for (int q = 0; q < kOracleQueries; ++q) {
-    graphs.push_back(MakeAvgGraph(q, 10 + q));
-  }
+  // Each runtime hosts its own graphs: operators carry window state, and
+  // the server must start as empty as the DES did.
+  auto make_graphs = [] {
+    std::vector<std::unique_ptr<QueryGraph>> graphs;
+    for (int q = 0; q < kOracleQueries; ++q) {
+      graphs.push_back(MakeAvgGraph(q, 10 + q));
+    }
+    return graphs;
+  };
+  std::vector<std::unique_ptr<QueryGraph>> des_graphs = make_graphs();
+  std::vector<std::unique_ptr<QueryGraph>> server_graphs = make_graphs();
 
   perf.BeginRun("oracle");
   EventQueue queue;
@@ -284,7 +290,7 @@ int RunOracle(PerfRecorder& perf, bool quick) {
   node_options.cpu_speed = kOracleCpuSpeed;
   Node node(0, node_options, &queue, &router,
             std::make_unique<BalanceSicShedder>(Rng(7)));
-  for (const auto& g : graphs) node.HostFragment(g.get(), 0);
+  for (const auto& g : des_graphs) node.HostFragment(g.get(), 0);
   node.Start();
   std::vector<TimedBatch> des_arrivals = MakeOracleArrivals(kHorizon);
   for (TimedBatch& a : des_arrivals) {
@@ -303,7 +309,7 @@ int RunOracle(PerfRecorder& perf, bool quick) {
   opts.channel_capacity = 1 << 20;
   ServerPipeline pipeline(opts, &clock,
                           std::make_unique<BalanceSicShedder>(Rng(7)));
-  for (const auto& g : graphs) pipeline.AddQuery(g.get());
+  for (const auto& g : server_graphs) pipeline.AddQuery(g.get());
   pipeline.Start();
   std::vector<TimedBatch> arrivals = MakeOracleArrivals(kHorizon);
   DriveDeterministic(&pipeline, &clock, &arrivals, kHorizon);

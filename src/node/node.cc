@@ -13,8 +13,8 @@ Node::Node(NodeId id, NodeOptions options, EventQueue* queue,
       options_(options),
       queue_(queue),
       router_(router),
-      shedder_(std::move(shedder)),
-      detector_(options.headroom),
+      ctl_(options.shed_interval, options.stw, options.headroom,
+           std::move(shedder), &stats_),
       stamper_(options.stw) {
   ib_.set_pool(&pool_);
 }
@@ -45,10 +45,8 @@ void Node::UnhostQuery(QueryId q) {
     hosted_[q] = HostedState{};
   }
   hosted_fragments_.erase(q);
-  query_sic_.erase(q);
-  accepted_sic_.erase(q);
+  ctl_.RemoveQuery(q);
   arrival_tuples_.erase(q);
-  efficiency_.erase(q);
   stamper_.RemoveQuery(q);
   ib_.RemoveQuery(q);
 }
@@ -145,30 +143,12 @@ void Node::Receive(Batch batch) {
   // Offered-load accounting (before admission: shed tuples still count —
   // the placement signal should see demand, not the shedder's verdict).
   if (options_.track_arrivals) {
-    auto arr_it = arrival_tuples_.find(batch.header.query_id);
-    if (arr_it == arrival_tuples_.end()) {
-      arr_it = arrival_tuples_
-                   .emplace(batch.header.query_id, StwTracker(options_.stw))
-                   .first;
-    }
-    arr_it->second.AddResultSic(now, static_cast<double>(batch.size()));
+    arrival_tuples_.try_emplace(batch.header.query_id, options_.stw)
+        .first->second.AddResultSic(now, static_cast<double>(batch.size()));
   }
 
   ib_.Push(std::move(batch));
   ScheduleProcessing();
-}
-
-void Node::UpdateQuerySic(QueryId query, double sic) {
-  query_sic_[query] = sic;
-}
-
-size_t Node::CurrentCapacity() const {
-  return cost_model_.EstimateCapacity(options_.shed_interval);
-}
-
-double Node::AcceptedSic(QueryId q, SimTime now) {
-  auto it = accepted_sic_.find(q);
-  return it == accepted_sic_.end() ? 0.0 : it->second.tracker.QuerySic(now);
 }
 
 double Node::ArrivalTuplesStw(QueryId q, SimTime now) {
@@ -179,7 +159,7 @@ double Node::ArrivalTuplesStw(QueryId q, SimTime now) {
 double Node::OfferedLoadUs(QueryId q, SimTime now) {
   // PerTupleUs() is measured from interval busy time, which already folds
   // in cpu_speed — the product is simulated processing-µs directly.
-  return ArrivalTuplesStw(q, now) * cost_model_.PerTupleUs();
+  return ArrivalTuplesStw(q, now) * ctl_.cost_model().PerTupleUs();
 }
 
 double Node::OfferedLoadUs(SimTime now) {
@@ -187,17 +167,7 @@ double Node::OfferedLoadUs(SimTime now) {
   for (auto& [q, tracker] : arrival_tuples_) {
     total += tracker.RawSum(now);
   }
-  return total * cost_model_.PerTupleUs();
-}
-
-double Node::AcceptedSicTotal(QueryId q) const {
-  auto it = accepted_sic_.find(q);
-  return it == accepted_sic_.end() ? 0.0 : it->second.total_sic;
-}
-
-uint64_t Node::AcceptedTuplesTotal(QueryId q) const {
-  auto it = accepted_sic_.find(q);
-  return it == accepted_sic_.end() ? 0 : it->second.total_tuples;
+  return total * ctl_.cost_model().PerTupleUs();
 }
 
 std::vector<QueryId> Node::HostedQueries() const {
@@ -228,29 +198,10 @@ void Node::ProcessNext(uint64_t gen) {
   std::optional<Batch> batch = ib_.Pop();
   if (!batch) return;
 
-  QueryId batch_query = batch->header.query_id;
-  auto acc_it = accepted_sic_.find(batch_query);
-  if (acc_it == accepted_sic_.end()) {
-    acc_it = accepted_sic_
-                 .emplace(batch_query, AcceptedAccount(options_.stw))
-                 .first;
-  }
-  acc_it->second.tracker.AddResultSic(now, batch->header.sic);
-  acc_it->second.total_sic += batch->header.sic;
-  acc_it->second.total_tuples += batch->size();
-  if (telemetry::Telemetry* tel = telemetry::Get()) {
-    query_telemetry_.RecordAccepted(tel, batch_query, batch->header.sic,
-                                    batch->size());
-  }
-
-  double work_us = ExecuteBatch(*batch);
-  SimDuration work = static_cast<SimDuration>(work_us);
+  ctl_.Admit(batch->header.query_id, batch->header.sic, batch->size(), now);
+  SimDuration work = static_cast<SimDuration>(ExecuteBatch(*batch));
   busy_until_ = now + work;
-  stats_.busy_time += work;
-  interval_busy_ += work;
-  stats_.batches_processed += 1;
-  stats_.tuples_processed += batch->size();
-  interval_tuples_ += batch->size();
+  ctl_.ChargeBusy(work);
   pool_.Release(std::move(*batch));
 
   ScheduleProcessing();
@@ -364,90 +315,22 @@ void Node::OnShedTimer(uint64_t gen) {
     return;
   }
   SimTime now = queue_->now();
-  stats_.detector_invocations += 1;
-  telemetry::Telemetry* tel = telemetry::Get();
   telemetry::TraceScope span("node.shed_tick");
-
-  // Feed the cost model with the last interval's measurements (§6).
-  cost_model_.RecordInterval(interval_tuples_, interval_busy_);
-  interval_tuples_ = 0;
-  interval_busy_ = 0;
-
-  // Close windows that became due even if no batch arrived lately.
-  // (Ascending query order, as the former map iteration did.)
+  ctl_.BeginTick();
+  // Close windows that became due even if no batch arrived lately
+  // (ascending query order).
   for (const HostedState& hs : hosted_) {
     if (hs.graph != nullptr) PumpGraph(hs, nullptr);
   }
-
-  // Capture operator checkpoints right after the pump, when released panes
-  // have left the state (minimal re-emission on restore). Zero simulated
-  // cost, like telemetry: the event schedule is identical with the feature
-  // on or off, so seq == parsim@1 and run-to-run identity still hold.
-  if (ckpt_config_.enabled && now >= ckpt_next_due_) {
-    ckpt_next_due_ = now + ckpt_config_.cadence;
+  ctl_.CaptureCheckpoints(now, [this](const auto& capture) {
     for (const HostedState& hs : hosted_) {
       if (hs.graph == nullptr) continue;
       for (OperatorId oid : hs.pump_ops) {
-        MaybeCheckpointOperator(hs.graph->op(oid), hs.graph->id(), now,
-                                ckpt_config_.error_bound, &ckpt_store_);
+        capture(hs.graph->op(oid), hs.graph->id());
       }
     }
-  }
-
-  size_t capacity = cost_model_.EstimateCapacity(options_.shed_interval);
-  stats_.last_capacity = capacity;
-
-  // Refresh per-query efficiency estimates (result SIC per accepted SIC).
-  // The disseminated value lags the accept level by the operator pipeline
-  // latency, so the ratio is smoothed with a slow EWMA.
-  for (auto& [q, acc] : accepted_sic_) {
-    double accepted = acc.tracker.QuerySic(now);
-    if (accepted > 0.02) {
-      if (auto it = query_sic_.find(q); it != query_sic_.end()) {
-        double ratio = std::clamp(it->second / accepted, 0.0, 1.2);
-        auto [eff_it, ins] = efficiency_.try_emplace(q, Ewma(0.05));
-        eff_it->second.Update(ratio);
-      }
-    }
-  }
-
-  bool overloaded = detector_.IsOverloaded(ib_.num_tuples(), capacity);
-  if (tel != nullptr) {
-    RecordShedTick(tel, ib_.num_tuples(), capacity, overloaded);
-    pool_telemetry_.Publish(tel, pool_.stats());
-    if (ckpt_config_.enabled) ckpt_telemetry_.Publish(tel, ckpt_store_);
-  }
-  if (overloaded) {
-    accepted_snapshot_.assign(hosted_.size(), 0.0);
-    for (auto& [q, acc] : accepted_sic_) {
-      double eff = 1.0;
-      if (auto it = efficiency_.find(q); it != efficiency_.end()) {
-        if (it->second.has_value()) eff = std::max(it->second.value(), 0.05);
-      }
-      if (static_cast<size_t>(q) >= accepted_snapshot_.size()) {
-        accepted_snapshot_.resize(q + 1, 0.0);
-      }
-      accepted_snapshot_[q] = acc.tracker.QuerySic(now) * eff;
-    }
-    ShedContext ctx;
-    ctx.capacity_tuples = capacity;
-    ctx.now = now;
-    ctx.query_sic = &query_sic_;
-    ctx.local_accepted_sic = &accepted_snapshot_;
-    std::vector<size_t> keep =
-        shedder_->SelectBatchesToKeep(ib_.batches(), ctx);
-    if (tel != nullptr) {
-      RecordShedDrops(tel, &query_telemetry_, ib_.batches(), keep);
-    }
-    size_t before_batches = ib_.num_batches();
-    size_t dropped = ib_.RetainIndices(keep);
-    if (dropped > 0) {
-      stats_.shed_invocations += 1;
-      stats_.tuples_shed += dropped;
-      stats_.batches_shed += before_batches - ib_.num_batches();
-    }
-  }
-
+  });
+  ctl_.Decide(now, &ib_, pool_, hosted_.size());
   ArmShedTimer(now + options_.shed_interval);
 }
 

@@ -12,13 +12,11 @@
 
 #include "common/time_types.h"
 #include "node/input_buffer.h"
+#include "node/shed_controller.h"
 #include "node/sic_stamper.h"
-#include "node/telemetry_hooks.h"
 #include "runtime/batch_pool.h"
 #include "runtime/checkpoint.h"
 #include "runtime/query_graph.h"
-#include "shedding/cost_model.h"
-#include "shedding/overload_detector.h"
 #include "shedding/shedder.h"
 #include "sic/stw_tracker.h"
 #include "sim/event_queue.h"
@@ -62,20 +60,11 @@ struct NodeOptions {
   bool track_arrivals = false;
 };
 
-/// Per-node counters exposed to experiments and tests.
-struct NodeStats {
-  uint64_t tuples_received = 0;
-  uint64_t tuples_processed = 0;
-  uint64_t tuples_shed = 0;
-  uint64_t batches_received = 0;
-  uint64_t batches_processed = 0;
-  uint64_t batches_shed = 0;
-  uint64_t shed_invocations = 0;     ///< timer ticks that shed something
-  uint64_t detector_invocations = 0; ///< all timer ticks
-  uint64_t batches_dropped_dead = 0; ///< in-flight arrivals while crashed
-  uint64_t tuples_dropped_dead = 0;  ///< incl. the buffer drained at crash
-  SimDuration busy_time = 0;
-  size_t last_capacity = 0;
+/// Per-node counters exposed to experiments and tests: the shared shed-loop
+/// counters plus the crash model's.
+struct NodeStats : ShedStats {
+  uint64_t batches_dropped_dead = 0;  ///< in-flight arrivals while crashed
+  uint64_t tuples_dropped_dead = 0;   ///< incl. the buffer drained at crash
 };
 
 /// \brief One simulated FSPS node hosting query fragments.
@@ -123,7 +112,9 @@ class Node {
   void Receive(Batch batch);
 
   /// Coordinator dissemination of a query's current result SIC (§5.2).
-  void UpdateQuerySic(QueryId query, double sic);
+  void UpdateQuerySic(QueryId query, double sic) {
+    ctl_.UpdateQuerySic(query, sic);
+  }
 
   /// Enables (or re-tunes) periodic operator-state checkpoints: every
   /// `config.cadence` the shed tick captures each hosted operator whose
@@ -131,7 +122,7 @@ class Node {
   /// zero simulated work, so the event schedule is unchanged. Call before
   /// Start() for a regular capture grid.
   void ConfigureCheckpoints(const CheckpointConfig& config) {
-    ckpt_config_ = config;
+    ctl_.ConfigureCheckpoints(&ckpt_store_, config);
   }
   /// This node's image store. Deliberately survives Crash()/Restore() —
   /// it models a durable backup, which is what re-placement restores from.
@@ -145,15 +136,19 @@ class Node {
   /// upstream fragments) may Acquire() from it so batch churn recycles.
   BatchPool* batch_pool() { return &pool_; }
   /// Latest capacity estimate c (tuples per shedding interval).
-  size_t CurrentCapacity() const;
+  size_t CurrentCapacity() const {
+    return ctl_.cost_model().EstimateCapacity(options_.shed_interval);
+  }
   /// Queries with at least one hosted fragment.
   std::vector<QueryId> HostedQueries() const;
   const std::map<QueryId, double>& known_query_sic() const {
-    return query_sic_;
+    return ctl_.query_sic();
   }
   /// SIC mass accepted for processing for query `q` over the trailing STW
   /// (diagnostics; the shedder sees this scaled by the efficiency estimate).
-  double AcceptedSic(QueryId q, SimTime now);
+  double AcceptedSic(QueryId q, SimTime now) {
+    return ctl_.AcceptedSic(q, now);
+  }
   /// Tuples that arrived for query `q` over the trailing STW — the *offered*
   /// load, counted at ingress before admission or shedding (so an overloaded
   /// node's signal reflects demand, not what survived the shedder). 0 for
@@ -168,9 +163,13 @@ class Node {
   /// Cumulative SIC mass admitted for query `q` since the node started.
   /// Used by the server oracle tests/bench to compare the live runtime
   /// against this discrete-event execution.
-  double AcceptedSicTotal(QueryId q) const;
+  double AcceptedSicTotal(QueryId q) const {
+    return ctl_.AcceptedSicTotal(q);
+  }
   /// Cumulative tuples admitted for query `q` since the node started.
-  uint64_t AcceptedTuplesTotal(QueryId q) const;
+  uint64_t AcceptedTuplesTotal(QueryId q) const {
+    return ctl_.AcceptedTuplesTotal(q);
+  }
 
  private:
   void ScheduleProcessing();
@@ -220,12 +219,12 @@ class Node {
   NodeOptions options_;
   EventQueue* queue_;
   BatchRouter* router_;
-  std::unique_ptr<Shedder> shedder_;
 
+  NodeStats stats_;
+  // The shed loop: admission accounting, cost model, detector, shedder.
+  ShedController ctl_;
   InputBuffer ib_;
   BatchPool pool_;
-  CostModel cost_model_;
-  OverloadDetector detector_;
   // Scratch buffer reused by PumpGraph for operator emissions; never holds
   // data across events, only avoids a fresh vector per pumped operator.
   std::vector<Tuple> scratch_outputs_;
@@ -240,38 +239,11 @@ class Node {
   // with the real-time server ingress via SicStamper.
   SicStamper stamper_;
 
-  // Latest disseminated result SIC per hosted query.
-  std::map<QueryId, double> query_sic_;
-
-  // Per-query admission accounting: the trailing-STW tracker is the
-  // lag-free local signal for the shedder (see ShedContext), scaled by a
-  // slow per-query efficiency estimate so it predicts *result* SIC: queries
-  // lose SIC mass semantically (filters dropping whole panes, join windows
-  // with one side missing), and equalising raw accepted mass would leave
-  // low-efficiency queries permanently below the water level. The running
-  // totals feed the server oracle comparison.
-  struct AcceptedAccount {
-    explicit AcceptedAccount(SimDuration stw) : tracker(stw) {}
-    StwTracker tracker;
-    double total_sic = 0.0;
-    uint64_t total_tuples = 0;
-  };
-  std::map<QueryId, AcceptedAccount> accepted_sic_;
   // Trailing-STW arrival (offered-load) mass per query, fed at ingress
   // before admission; the arrival-rate x cost placement signal reads it.
   std::map<QueryId, StwTracker> arrival_tuples_;
-  std::map<QueryId, Ewma> efficiency_;
-  // Reused per shed tick; indexed by QueryId (see ShedContext).
-  std::vector<double> accepted_snapshot_;
-  // Cached per-query telemetry counters (no-op unless installed).
-  QueryTelemetry query_telemetry_;
-  // Batch-pool occupancy/recycle export, published once per shed tick.
-  PoolTelemetry pool_telemetry_;
-  // Operator-state checkpointing (inert while !ckpt_config_.enabled).
-  CheckpointConfig ckpt_config_;
+  // Image store the shed loop captures into (see ConfigureCheckpoints).
   CheckpointStore ckpt_store_;
-  CheckpointTelemetry ckpt_telemetry_;
-  SimTime ckpt_next_due_ = 0;
 
   // Processing bookkeeping.
   bool processing_scheduled_ = false;
@@ -288,12 +260,6 @@ class Node {
   uint64_t generation_ = 0;
   SimTime shed_next_at_ = 0;
   SimTime processing_at_ = 0;
-
-  // Cost-model interval accounting.
-  uint64_t interval_tuples_ = 0;
-  SimDuration interval_busy_ = 0;
-
-  NodeStats stats_;
 };
 
 }  // namespace themis

@@ -1,13 +1,8 @@
-// Shared telemetry hooks for the shed tick / admission seams.
-//
-// Node::OnShedTimer (DES) and ServerPipeline::TickPhase2 (realtime) run
-// the same detector -> shedder -> RetainIndices sequence; both call these
-// helpers at the same points with the same simulated-state inputs, which
-// is what makes a server kModeled metric snapshot match the DES snapshot
-// bit for bit (telemetry_test's oracle test pins this).
-//
-// Every helper takes the installed `Telemetry*` from the caller (which
-// already branched on it), so a disabled run pays nothing here.
+// Telemetry hooks of the shed loop's admission and tick steps. Their only
+// caller is ShedController, which both runtimes drive, so a kModeled server
+// snapshot equals the DES snapshot bit for bit (TelemetryOracleTest). Every
+// helper takes the installed `Telemetry*` from the caller (which already
+// branched on it), so a disabled run pays nothing here.
 #ifndef THEMIS_NODE_TELEMETRY_HOOKS_H_
 #define THEMIS_NODE_TELEMETRY_HOOKS_H_
 

@@ -6,14 +6,6 @@ namespace themis {
 
 void DriveDeterministic(ServerPipeline* pipeline, ManualClock* clock,
                         std::vector<TimedBatch>* arrivals, SimTime until) {
-  const bool threaded = pipeline->options().workers > 0;
-  auto barrier = [&] {
-    if (threaded) {
-      pipeline->WaitIdle();
-    } else {
-      pipeline->RunUntilIdle();
-    }
-  };
   size_t next_arrival = 0;
   for (;;) {
     constexpr SimTime kNever = ServerPipeline::kNever;
@@ -45,7 +37,7 @@ void DriveDeterministic(ServerPipeline* pipeline, ManualClock* clock,
       ++next_arrival;
     }
     pipeline->NotifyIngress();
-    barrier();
+    pipeline->Quiesce();
   }
 }
 

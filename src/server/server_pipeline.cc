@@ -20,10 +20,10 @@ ServerPipeline::ServerPipeline(ServerOptions options, Clock* clock,
                                std::unique_ptr<Shedder> shedder)
     : options_(options),
       clock_(clock),
-      shedder_(std::move(shedder)),
       sched_(options.workers),
       stamper_(options.stw),
-      detector_(options.headroom),
+      ctl_(options.shed_interval, options.stw, options.headroom,
+           std::move(shedder), &stats_),
       ingress_(std::make_unique<IngressTask>(this)) {
   ib_.set_pool(&pool_);
 }
@@ -36,8 +36,8 @@ void ServerPipeline::AddQuery(const QueryGraph* graph) {
   hq.graph = graph;
   hq.by_op.resize(graph->num_operators());
   hq.pump.clear();
-  // Pump order mirrors Node::HostFragment: fragments ascending, topological
-  // order within a fragment — the order window pumps visit operators.
+  // Pump order: fragments ascending, topological order within a fragment —
+  // the order window pumps visit operators.
   for (size_t frag = 0; frag < graph->num_fragments(); ++frag) {
     for (OperatorId op :
          graph->fragment_ops(static_cast<FragmentId>(frag))) {
@@ -182,22 +182,7 @@ RunStatus ServerPipeline::IngressSlice() {
     staged_.reset();
     {
       std::lock_guard<std::mutex> lock(mu_);
-      SimTime now = clock_->NowMicros();
-      auto acc = accepted_.find(q);
-      if (acc == accepted_.end()) {
-        acc = accepted_.emplace(q, Account(options_.stw)).first;
-      }
-      acc->second.tracker.AddResultSic(now, sic);
-      acc->second.total_sic += sic;
-      acc->second.total_tuples += n;
-      if (telemetry::Telemetry* tel = telemetry::Get()) {
-        // Same seam as Node::ProcessNext's admission accounting, so a
-        // kModeled snapshot matches the DES snapshot bit for bit.
-        query_telemetry_.RecordAccepted(tel, q, sic, n);
-      }
-      stats_.batches_processed += 1;
-      stats_.tuples_processed += n;
-      interval_tuples_ += n;
+      ctl_.Admit(q, sic, n, clock_->NowMicros());
       if (options_.accounting == CostAccounting::kModeled) {
         ChargeModeledLocked(static_cast<double>(n) *
                             it->second.graph->op(dest_op)
@@ -205,8 +190,8 @@ RunStatus ServerPipeline::IngressSlice() {
                             options_.cpu_speed);
       }
     }
-    // Charged wakeups in pump order, mirroring ExecuteBatch's Ingest +
-    // PumpGraph pass over the admitted batch's query.
+    // Charged wakeups in pump order: the admitted batch's ingest, then a
+    // window pass over its query.
     for (ExecNode* e : it->second.pump) e->NotifyCharged();
   }
   return RunStatus::kMoreWork;
@@ -220,8 +205,7 @@ void ServerPipeline::ChargeModeledLocked(double work_us) {
   SimTime now = clock_->NowMicros();
   if (busy_until_ < now) busy_until_ = now;
   busy_until_ += w;
-  interval_busy_ += w;
-  stats_.busy_time += w;
+  ctl_.ChargeBusy(w);
 }
 
 SimTime ServerPipeline::Watermark() const {
@@ -249,8 +233,7 @@ void ServerPipeline::RecordMeasuredBusy(SimDuration busy_us) {
         ->Observe(static_cast<double>(busy_us));
   }
   std::lock_guard<std::mutex> lock(mu_);
-  interval_busy_ += busy_us;
-  stats_.busy_time += busy_us;
+  ctl_.ChargeBusy(busy_us);
 }
 
 void ServerPipeline::DeliverResult(QueryId query,
@@ -259,13 +242,8 @@ void ServerPipeline::DeliverResult(QueryId query,
   double sum = 0.0;
   for (const Tuple& t : results) sum += t.sic;
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = results_.find(query);
-  if (it == results_.end()) {
-    it = results_.emplace(query, Account(options_.stw)).first;
-  }
-  it->second.tracker.AddResultSic(now, sum);
-  it->second.total_sic += sum;
-  it->second.total_tuples += results.size();
+  results_.try_emplace(query, options_.stw)
+      .first->second.Add(now, sum, results.size());
 }
 
 Batch ServerPipeline::AcquireBatch() {
@@ -278,94 +256,45 @@ void ServerPipeline::ReleaseBatch(Batch b) {
   pool_.Release(std::move(b));
 }
 
-void ServerPipeline::TickPhase1() {
+void ServerPipeline::BeginTick() {
   {
     std::lock_guard<std::mutex> lock(mu_);
-    stats_.detector_invocations += 1;
-    cost_model_.RecordInterval(interval_tuples_, interval_busy_);
-    interval_tuples_ = 0;
-    interval_busy_ = 0;
+    ctl_.BeginTick();
   }
-  // Uncharged window pump, ascending queries, pump order within a query —
-  // the same order Node::OnShedTimer runs PumpGraph(hs, nullptr).
+  // Uncharged window pump: ascending queries, pump order within a query.
   for (auto& [q, hq] : queries_) {
     for (ExecNode* e : hq.pump) e->NotifyUncharged();
   }
 }
 
-void ServerPipeline::TickPhase2() {
+void ServerPipeline::DecideTick(bool capture) {
   telemetry::Telemetry* tel = telemetry::Get();
   const bool timed = tel != nullptr && measured_accounting();
   uint64_t shed_t0 = timed ? tel->tracer().NowMicros() : 0;
   {
     std::lock_guard<std::mutex> lock(mu_);
     SimTime now = clock_->NowMicros();
-    size_t capacity = cost_model_.EstimateCapacity(options_.shed_interval);
-    if (options_.accounting == CostAccounting::kMeasured) {
-      // Busy time is summed across workers; capacity scales with them.
-      capacity *= std::max<size_t>(options_.workers, 1);
+    if (capture) {
+      ctl_.CaptureCheckpoints(now, [this](const auto& capture_op) {
+        ForEachHostedOperator(capture_op);
+      });
     }
-    stats_.last_capacity = capacity;
-
     // Local stand-in for coordinator dissemination (§5.2): feed the result
     // sinks' trailing-STW SIC back into the shedder's query_sic view.
     if (options_.disseminate_sic) {
       for (auto& [q, acc] : results_) {
-        query_sic_[q] = acc.tracker.QuerySic(now);
+        ctl_.UpdateQuerySic(q, acc.tracker.QuerySic(now));
       }
     }
-
-    // Per-query efficiency EWMA, exactly as Node::OnShedTimer.
-    for (auto& [q, acc] : accepted_) {
-      double accepted = acc.tracker.QuerySic(now);
-      if (accepted > 0.02) {
-        if (auto it = query_sic_.find(q); it != query_sic_.end()) {
-          double ratio = std::clamp(it->second / accepted, 0.0, 1.2);
-          auto [eff_it, ins] = efficiency_.try_emplace(q, Ewma(0.05));
-          eff_it->second.Update(ratio);
-        }
-      }
+    // Measured busy time is summed across workers; capacity scales with
+    // them.
+    size_t capacity_scale =
+        measured_accounting() ? std::max<size_t>(options_.workers, 1) : 1;
+    size_t query_slots = 0;
+    if (!queries_.empty()) {
+      query_slots = static_cast<size_t>(queries_.rbegin()->first) + 1;
     }
-
-    bool overloaded = detector_.IsOverloaded(ib_.num_tuples(), capacity);
-    if (tel != nullptr) {
-      // Same seam and inputs as Node::OnShedTimer's verdict record.
-      RecordShedTick(tel, ib_.num_tuples(), capacity, overloaded);
-      pool_telemetry_.Publish(tel, pool_.stats());
-    }
-    if (overloaded) {
-      size_t max_qid =
-          queries_.empty()
-              ? 0
-              : static_cast<size_t>(queries_.rbegin()->first) + 1;
-      accepted_snapshot_.assign(max_qid, 0.0);
-      for (auto& [q, acc] : accepted_) {
-        double eff = 1.0;
-        if (auto it = efficiency_.find(q); it != efficiency_.end()) {
-          if (it->second.has_value()) eff = std::max(it->second.value(), 0.05);
-        }
-        if (static_cast<size_t>(q) >= accepted_snapshot_.size()) {
-          accepted_snapshot_.resize(q + 1, 0.0);
-        }
-        accepted_snapshot_[q] = acc.tracker.QuerySic(now) * eff;
-      }
-      ShedContext ctx;
-      ctx.capacity_tuples = capacity;
-      ctx.now = now;
-      ctx.query_sic = &query_sic_;
-      ctx.local_accepted_sic = &accepted_snapshot_;
-      std::vector<size_t> keep =
-          shedder_->SelectBatchesToKeep(ib_.batches(), ctx);
-      if (tel != nullptr) {
-        RecordShedDrops(tel, &query_telemetry_, ib_.batches(), keep);
-      }
-      size_t before_batches = ib_.num_batches();
-      size_t dropped = ib_.RetainIndices(keep);
-      if (dropped > 0) {
-        stats_.shed_invocations += 1;
-        stats_.tuples_shed += dropped;
-        stats_.batches_shed += before_batches - ib_.num_batches();
-      }
+    if (ctl_.Decide(now, &ib_, pool_, query_slots, capacity_scale)) {
       WakeSourcesIfDrainedLocked();
     }
   }
@@ -389,11 +318,12 @@ void ServerPipeline::TickerLoop() {
     clock_->WaitUntil(next, stop_flag_);
     if (stop_flag_.load(std::memory_order_acquire)) return;
     if (clock_->NowMicros() < next) continue;  // spurious wakeup
-    // Real-time ticks run both phases back to back: the window pump
+    // Real-time ticks run both halves back to back: the window pump
     // quiesces concurrently with detection, an accepted approximation of
-    // the oracle's pump-then-shed barrier (see EXPERIMENTS.md).
-    TickPhase1();
-    TickPhase2();
+    // DriveTick's pump-then-shed barrier (see EXPERIMENTS.md). Without the
+    // barrier no capture is safe, so the ticker takes no checkpoints.
+    BeginTick();
+    DecideTick(/*capture=*/false);
     next += options_.shed_interval;
     std::lock_guard<std::mutex> lock(mu_);
     next_tick_ = next;
@@ -415,6 +345,14 @@ void ServerPipeline::RunUntilIdle() { sched_.RunUntilIdle(); }
 
 void ServerPipeline::WaitIdle() { sched_.WaitIdle(); }
 
+void ServerPipeline::Quiesce() {
+  if (options_.workers > 0) {
+    sched_.WaitIdle();
+  } else {
+    sched_.RunUntilIdle();
+  }
+}
+
 SimTime ServerPipeline::NextAdmissionTime() const {
   std::lock_guard<std::mutex> lock(mu_);
   SimTime now = clock_->NowMicros();
@@ -430,62 +368,28 @@ SimTime ServerPipeline::NextTickTime() const {
 }
 
 void ServerPipeline::DriveTick() {
-  auto barrier = [this] {
-    if (options_.workers > 0) {
-      sched_.WaitIdle();
-    } else {
-      sched_.RunUntilIdle();
-    }
-  };
-  TickPhase1();
-  barrier();  // window pump quiesces before detection
-  MaybeCaptureCheckpoints();
-  TickPhase2();
+  BeginTick();
+  Quiesce();  // the window pump settles before capture and detection
+  DecideTick(/*capture=*/true);
   {
     std::lock_guard<std::mutex> lock(mu_);
     next_tick_ += options_.shed_interval;
   }
-  barrier();
+  Quiesce();
 }
 
 void ServerPipeline::EnableCheckpoints(CheckpointStore* store,
                                        CheckpointConfig config) {
-  ckpt_store_ = store;
-  ckpt_config_ = config;
-  ckpt_next_ = 0;
+  std::lock_guard<std::mutex> lock(mu_);
+  ctl_.ConfigureCheckpoints(store, config);
 }
 
 void ServerPipeline::RestoreHostedFromStore() {
-  if (ckpt_store_ == nullptr) return;
-  for (auto& [q, hq] : queries_) {
-    for (size_t frag = 0; frag < hq.graph->num_fragments(); ++frag) {
-      for (OperatorId oid :
-           hq.graph->fragment_ops(static_cast<FragmentId>(frag))) {
-        RestoreOrResetOperator(hq.graph->op(oid), q, ckpt_store_);
-      }
-    }
-  }
-}
-
-void ServerPipeline::MaybeCaptureCheckpoints() {
-  if (ckpt_store_ == nullptr || !ckpt_config_.enabled) return;
-  SimTime now = clock_->NowMicros();
-  if (now < ckpt_next_) return;
-  ckpt_next_ = now + ckpt_config_.cadence;
-  for (auto& [q, hq] : queries_) {
-    for (size_t frag = 0; frag < hq.graph->num_fragments(); ++frag) {
-      for (OperatorId oid :
-           hq.graph->fragment_ops(static_cast<FragmentId>(frag))) {
-        MaybeCheckpointOperator(hq.graph->op(oid), q, now,
-                                ckpt_config_.error_bound, ckpt_store_);
-      }
-    }
-  }
-}
-
-size_t ServerPipeline::CurrentCapacity() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return stats_.last_capacity;
+  CheckpointStore* store = ctl_.checkpoint_store();
+  if (store == nullptr) return;
+  ForEachHostedOperator([store](Operator* op, QueryId q) {
+    RestoreOrResetOperator(op, q, store);
+  });
 }
 
 size_t ServerPipeline::ib_tuples() const {
@@ -495,20 +399,17 @@ size_t ServerPipeline::ib_tuples() const {
 
 double ServerPipeline::AcceptedSic(QueryId q, SimTime now) {
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = accepted_.find(q);
-  return it == accepted_.end() ? 0.0 : it->second.tracker.QuerySic(now);
+  return ctl_.AcceptedSic(q, now);
 }
 
 double ServerPipeline::AcceptedSicTotal(QueryId q) const {
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = accepted_.find(q);
-  return it == accepted_.end() ? 0.0 : it->second.total_sic;
+  return ctl_.AcceptedSicTotal(q);
 }
 
 uint64_t ServerPipeline::AcceptedTuplesTotal(QueryId q) const {
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = accepted_.find(q);
-  return it == accepted_.end() ? 0 : it->second.total_tuples;
+  return ctl_.AcceptedTuplesTotal(q);
 }
 
 double ServerPipeline::ResultSicTotal(QueryId q) const {

@@ -1,10 +1,11 @@
 // The real-time THEMIS runtime: one site running hosted queries as a live
-// multi-threaded pipeline, driving the same SIC stamping, cost model,
-// overload detector and shedder as the discrete-event Node — but off a real
-// (or manually advanced) clock. Sources Push() batches from any thread; the
-// ingress task stamps, buffers and admits them; execution nodes process
-// them under credit-based backpressure; a shed-timer tick prunes the input
-// buffer exactly as §6 prescribes.
+// multi-threaded pipeline off a real (or manually advanced) clock. Sources
+// Push() batches from any thread; the ingress task stamps, buffers and
+// admits them; execution nodes process them under credit-based
+// backpressure. SIC stamping (SicStamper) and the §6 control loop
+// (ShedController: admission accounting, cost model, overload detector,
+// shedder) are the discrete-event Node's own components, driven here from
+// a ticker thread under the site lock.
 //
 // Two accounting modes:
 //  - kMeasured (real runs): busy time is measured per task slice on the
@@ -26,20 +27,16 @@
 #include <thread>
 #include <vector>
 
-#include "common/stats.h"
 #include "common/time_types.h"
 #include "node/input_buffer.h"
+#include "node/shed_controller.h"
 #include "node/sic_stamper.h"
-#include "node/telemetry_hooks.h"
 #include "runtime/batch_pool.h"
 #include "runtime/checkpoint.h"
 #include "runtime/clock.h"
 #include "runtime/query_graph.h"
 #include "server/exec_node.h"
-#include "shedding/cost_model.h"
-#include "shedding/overload_detector.h"
 #include "shedding/shedder.h"
-#include "sic/stw_tracker.h"
 
 namespace themis {
 
@@ -76,19 +73,8 @@ struct ServerOptions {
   size_t ib_low_watermark = 0;
 };
 
-/// Per-server counters (mirrors NodeStats where the semantics coincide).
-struct ServerStats {
-  uint64_t tuples_received = 0;
-  uint64_t tuples_processed = 0;  ///< admitted to execution
-  uint64_t tuples_shed = 0;
-  uint64_t batches_received = 0;
-  uint64_t batches_processed = 0;
-  uint64_t batches_shed = 0;
-  uint64_t shed_invocations = 0;
-  uint64_t detector_invocations = 0;
-  SimDuration busy_time = 0;
-  size_t last_capacity = 0;
-};
+/// Per-server counters: the shed loop's, shared with NodeStats.
+using ServerStats = ShedStats;
 
 /// \brief A live single-site pipeline hosting whole queries.
 class ServerPipeline : private ServerSite {
@@ -126,25 +112,27 @@ class ServerPipeline : private ServerSite {
   /// Push/NotifyIngress/WaitIdle with ManualClock advances and DriveTick
   /// for a deterministic run on real worker threads.
   void WaitIdle();
+  /// RunUntilIdle with 0 workers, WaitIdle otherwise.
+  void Quiesce();
   /// Time the next batch admission may happen (kNever if the IB is empty
   /// and nothing is staged).
   SimTime NextAdmissionTime() const;
   /// Time of the next shed tick.
   SimTime NextTickTime() const;
-  /// Runs one shed tick on the calling thread: interval accounting, window
-  /// pump (drained to idle), then detection/shedding — the same order as
-  /// Node::OnShedTimer, split so the pump can quiesce in between.
+  /// Runs one shed tick on the calling thread: the controller's BeginTick,
+  /// the window pump drained to idle, checkpoint capture, then Decide. The
+  /// barrier after the pump is what the free-running ticker omits.
   void DriveTick();
 
   // --- Checkpointing ----------------------------------------------------
-  /// Shares the simulator's checkpoint seam: each DriveTick, once the
+  /// Enables the controller's checkpoint capture: each DriveTick, once the
   /// window pump has quiesced, captures images of every hosted operator
   /// into `store` (not owned; must outlive the pipeline) at the configured
   /// cadence, skipping operators whose accumulated dirt is within
-  /// `config.error_bound`. Caller-driven deterministic mode only
-  /// (workers == 0, DriveTick on the driving thread): operator state is
-  /// mutated by ExecNode slices outside mu_, so capture is safe only when
-  /// no worker can be mid-slice.
+  /// `config.error_bound`, and exports the store as infra.ckpt.* telemetry.
+  /// DriveTick only (the free-running ticker captures nothing): operator
+  /// state is mutated by ExecNode slices outside mu_, so capture is safe
+  /// only behind the pump barrier, when no worker can be mid-slice.
   void EnableCheckpoints(CheckpointStore* store, CheckpointConfig config);
   /// The process-restart model: restores every hosted operator from the
   /// enabled store (operators without an image reset). Call before Start,
@@ -160,7 +148,6 @@ class ServerPipeline : private ServerSite {
     return stats_;
   }
   const ServerOptions& options() const { return options_; }
-  size_t CurrentCapacity() const;
   size_t ib_tuples() const;
   /// Trailing-STW accepted SIC (diagnostics; shedder sees it scaled).
   double AcceptedSic(QueryId q, SimTime now);
@@ -174,18 +161,11 @@ class ServerPipeline : private ServerSite {
  private:
   class IngressTask;
 
-  struct Account {
-    explicit Account(SimDuration stw) : tracker(stw) {}
-    StwTracker tracker;
-    double total_sic = 0.0;
-    uint64_t total_tuples = 0;
-  };
   struct HostedQuery {
     const QueryGraph* graph = nullptr;
     /// Execution nodes indexed by OperatorId.
     std::vector<std::unique_ptr<ExecNode>> by_op;
-    /// Pump order: fragments ascending, topological within a fragment
-    /// (matches Node::HostFragment).
+    /// Pump order: fragments ascending, topological within a fragment.
     std::vector<ExecNode*> pump;
   };
 
@@ -204,54 +184,44 @@ class ServerPipeline : private ServerSite {
   double cpu_speed() const override { return options_.cpu_speed; }
 
   RunStatus IngressSlice();
-  /// Capture pass behind EnableCheckpoints (DriveTick, pump quiesced).
-  void MaybeCaptureCheckpoints();
   /// Adds modeled work to busy-until / interval accounting (mu_ held).
   void ChargeModeledLocked(double work_us);
-  /// Phase 1: cost-model interval rollover + uncharged window-pump wakeups.
-  void TickPhase1();
-  /// Phase 2: capacity, efficiency EWMA, dissemination, detect + shed.
-  void TickPhase2();
+  /// Calls `fn(Operator*, QueryId)` for every hosted operator, queries
+  /// ascending, pump order within a query.
+  template <typename Fn>
+  void ForEachHostedOperator(const Fn& fn) const {
+    for (const auto& [q, hq] : queries_) {
+      for (ExecNode* e : hq.pump) fn(hq.graph->op(e->op_id()), q);
+    }
+  }
+  /// Tick start: controller BeginTick + uncharged window-pump wakeups.
+  void BeginTick();
+  /// Tick end: checkpoint capture (only once the pump has quiesced, so
+  /// `capture` is DriveTick's), result-SIC dissemination, Decide.
+  void DecideTick(bool capture);
   void TickerLoop();
   void WakeSourcesIfDrainedLocked();
 
   ServerOptions options_;
   Clock* clock_;
-  std::unique_ptr<Shedder> shedder_;
   Scheduler sched_;
 
-  mutable std::mutex mu_;  // site lock (IB, pool, accounting, stamping)
+  mutable std::mutex mu_;  // site lock (IB, pool, controller, stamping)
   std::condition_variable source_cv_;
   SicStamper stamper_;
+  ServerStats stats_;
+  ShedController ctl_;
   InputBuffer ib_;
   BatchPool pool_;
-  CostModel cost_model_;
-  OverloadDetector detector_;
-  std::map<QueryId, double> query_sic_;
-  std::map<QueryId, Account> accepted_;
-  std::map<QueryId, Account> results_;
-  std::map<QueryId, Ewma> efficiency_;
-  std::vector<double> accepted_snapshot_;
-  /// Cached per-query telemetry counters; all writers hold mu_.
-  QueryTelemetry query_telemetry_;
-  /// Batch-pool occupancy export, published per shed tick under mu_.
-  PoolTelemetry pool_telemetry_;
+  std::map<QueryId, SicAccount> results_;
   SimTime busy_until_ = 0;
-  uint64_t interval_tuples_ = 0;
-  SimDuration interval_busy_ = 0;
   bool source_gate_closed_ = false;
   /// Batch popped from the IB whose downstream push blocked; admission
   /// accounting happens only once it lands.
   std::optional<Batch> staged_;
-  ServerStats stats_;
 
   std::map<QueryId, HostedQuery> queries_;
   std::unique_ptr<IngressTask> ingress_;
-
-  /// Checkpoint seam (EnableCheckpoints); null = off, the default.
-  CheckpointStore* ckpt_store_ = nullptr;
-  CheckpointConfig ckpt_config_;
-  SimTime ckpt_next_ = 0;
 
   std::atomic<bool> stop_flag_{false};
   bool started_ = false;

@@ -1,9 +1,10 @@
 // Oracle equivalence: the real-time server in deterministic mode (manual
 // clock, modeled cost accounting, paced admission) must reproduce the
 // discrete-event Node's schedule exactly — same admissions, same shed
-// decisions, same accepted-SIC totals, bit for bit — on a pinned overloaded
-// multi-query scenario. Run both caller-driven (0 workers) and on one real
-// worker thread.
+// decisions, same accepted-SIC totals, busy time, capacity estimates and
+// checkpoint captures, bit for bit — on a pinned overloaded multi-query
+// scenario. Run both caller-driven (0 workers) and on one real worker
+// thread.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -19,6 +20,7 @@
 #include "server/server_pipeline.h"
 #include "shedding/balance_sic_shedder.h"
 #include "sim/event_queue.h"
+#include "telemetry/telemetry.h"
 
 namespace themis {
 namespace {
@@ -75,13 +77,53 @@ std::vector<TimedBatch> MakeArrivals() {
   return arrivals;
 }
 
-struct DesRun {
+std::vector<std::unique_ptr<QueryGraph>> MakeGraphs() {
+  std::vector<std::unique_ptr<QueryGraph>> graphs;
+  for (int q = 0; q < kQueries; ++q) {
+    graphs.push_back(MakeAvgGraph(q, 10 + q));
+  }
+  return graphs;
+}
+
+CheckpointConfig CaptureEvery(SimDuration cadence) {
+  CheckpointConfig config;
+  config.enabled = true;
+  config.cadence = cadence;
+  return config;
+}
+
+// What one run of either runtime decided.
+struct RunOutcome {
   std::map<QueryId, double> accepted_sic;
   std::map<QueryId, uint64_t> accepted_tuples;
-  uint64_t tuples_processed = 0;
-  uint64_t tuples_shed = 0;
-  uint64_t shed_invocations = 0;
+  ShedStats stats;
+  CheckpointStore::Stats ckpt;
 };
+
+// `Runtime` is Node or ServerPipeline: both expose the same accessors.
+template <typename Runtime>
+RunOutcome Collect(const Runtime& runtime, const CheckpointStore* store) {
+  RunOutcome out;
+  for (int q = 0; q < kQueries; ++q) {
+    out.accepted_sic[q] = runtime.AcceptedSicTotal(q);
+    out.accepted_tuples[q] = runtime.AcceptedTuplesTotal(q);
+  }
+  out.stats = runtime.stats();
+  if (store != nullptr) out.ckpt = store->stats();
+  return out;
+}
+
+void ExpectSameDecisions(const RunOutcome& a, const RunOutcome& b) {
+  for (int q = 0; q < kQueries; ++q) {
+    SCOPED_TRACE(q);
+    EXPECT_EQ(a.accepted_tuples.at(q), b.accepted_tuples.at(q));
+    EXPECT_EQ(a.accepted_sic.at(q), b.accepted_sic.at(q));
+  }
+  EXPECT_EQ(a.stats.tuples_processed, b.stats.tuples_processed);
+  EXPECT_EQ(a.stats.tuples_shed, b.stats.tuples_shed);
+  EXPECT_EQ(a.stats.batches_shed, b.stats.batches_shed);
+  EXPECT_EQ(a.stats.shed_invocations, b.stats.shed_invocations);
+}
 
 class NullRouter : public BatchRouter {
  public:
@@ -89,7 +131,8 @@ class NullRouter : public BatchRouter {
   void DeliverResult(QueryId, SimTime, const std::vector<Tuple>&) override {}
 };
 
-DesRun RunDes(const std::vector<std::unique_ptr<QueryGraph>>& graphs) {
+RunOutcome RunDes(const CheckpointConfig& ckpt) {
+  std::vector<std::unique_ptr<QueryGraph>> graphs = MakeGraphs();
   EventQueue queue;
   NullRouter router;
   NodeOptions options;
@@ -97,6 +140,7 @@ DesRun RunDes(const std::vector<std::unique_ptr<QueryGraph>>& graphs) {
   Node node(0, options, &queue, &router,
             std::make_unique<BalanceSicShedder>(Rng(7)));
   for (const auto& g : graphs) node.HostFragment(g.get(), 0);
+  node.ConfigureCheckpoints(ckpt);
   node.Start();  // first tick scheduled before any arrival: ties tick-first
 
   std::vector<TimedBatch> arrivals = MakeArrivals();
@@ -105,29 +149,10 @@ DesRun RunDes(const std::vector<std::unique_ptr<QueryGraph>>& graphs) {
     queue.Schedule(a.at, [&node, b] { node.Receive(std::move(*b)); });
   }
   queue.RunUntil(kHorizon);
-
-  DesRun out;
-  for (int q = 0; q < kQueries; ++q) {
-    out.accepted_sic[q] = node.AcceptedSicTotal(q);
-    out.accepted_tuples[q] = node.AcceptedTuplesTotal(q);
-  }
-  out.tuples_processed = node.stats().tuples_processed;
-  out.tuples_shed = node.stats().tuples_shed;
-  out.shed_invocations = node.stats().shed_invocations;
-  return out;
+  return Collect(node, node.checkpoint_store());
 }
 
-void RunServerAndCompare(size_t workers) {
-  std::vector<std::unique_ptr<QueryGraph>> graphs;
-  for (int q = 0; q < kQueries; ++q) {
-    graphs.push_back(MakeAvgGraph(q, 10 + q));
-  }
-  DesRun des = RunDes(graphs);
-  // Sanity: the scenario genuinely overloads the node and sheds.
-  ASSERT_GT(des.tuples_shed, 0u);
-  ASSERT_GT(des.tuples_processed, 0u);
-
-  ManualClock clock;
+ServerOptions OracleServerOptions(size_t workers) {
   ServerOptions opts;
   opts.workers = workers;
   opts.cpu_speed = kCpuSpeed;
@@ -135,23 +160,43 @@ void RunServerAndCompare(size_t workers) {
   opts.pace_admission = true;
   opts.disseminate_sic = false;  // the DES twin has no coordinator either
   opts.channel_capacity = 1 << 20;  // never backpressure the oracle
-  ServerPipeline pipeline(opts, &clock,
+  return opts;
+}
+
+// Runs the server on fresh graphs; `store` null leaves capture off.
+RunOutcome RunServer(size_t workers, CheckpointStore* store,
+                     const CheckpointConfig& ckpt) {
+  std::vector<std::unique_ptr<QueryGraph>> graphs = MakeGraphs();
+  ManualClock clock;
+  ServerPipeline pipeline(OracleServerOptions(workers), &clock,
                           std::make_unique<BalanceSicShedder>(Rng(7)));
   for (const auto& g : graphs) pipeline.AddQuery(g.get());
+  if (store != nullptr) pipeline.EnableCheckpoints(store, ckpt);
   pipeline.Start();
-
   std::vector<TimedBatch> arrivals = MakeArrivals();
   DriveDeterministic(&pipeline, &clock, &arrivals, kHorizon);
   pipeline.Stop();
+  return Collect(pipeline, store);
+}
 
-  for (int q = 0; q < kQueries; ++q) {
-    SCOPED_TRACE(q);
-    EXPECT_EQ(pipeline.AcceptedTuplesTotal(q), des.accepted_tuples[q]);
-    EXPECT_DOUBLE_EQ(pipeline.AcceptedSicTotal(q), des.accepted_sic[q]);
-  }
-  EXPECT_EQ(pipeline.stats().tuples_processed, des.tuples_processed);
-  EXPECT_EQ(pipeline.stats().tuples_shed, des.tuples_shed);
-  EXPECT_EQ(pipeline.stats().shed_invocations, des.shed_invocations);
+void RunServerAndCompare(size_t workers) {
+  const CheckpointConfig ckpt = CaptureEvery(Millis(500));
+  RunOutcome des = RunDes(ckpt);
+  // Sanity: the scenario genuinely overloads the node, sheds and captures.
+  ASSERT_GT(des.stats.tuples_shed, 0u);
+  ASSERT_GT(des.stats.tuples_processed, 0u);
+  ASSERT_GT(des.ckpt.taken, 0u);
+
+  CheckpointStore store;
+  RunOutcome server = RunServer(workers, &store, ckpt);
+  ExpectSameDecisions(server, des);
+  EXPECT_EQ(server.stats.busy_time, des.stats.busy_time);
+  EXPECT_EQ(server.stats.last_capacity, des.stats.last_capacity);
+  EXPECT_EQ(server.stats.detector_invocations,
+            des.stats.detector_invocations);
+  EXPECT_EQ(server.ckpt.taken, des.ckpt.taken);
+  EXPECT_EQ(server.ckpt.skipped_clean, des.ckpt.skipped_clean);
+  EXPECT_EQ(server.ckpt.bytes_written, des.ckpt.bytes_written);
 }
 
 TEST(ServerOracleTest, CallerDrivenMatchesDes) { RunServerAndCompare(0); }
@@ -160,59 +205,24 @@ TEST(ServerOracleTest, SingleWorkerThreadMatchesDes) { RunServerAndCompare(1); }
 
 // --- server checkpoint seam ----------------------------------------------
 
-// Capture rides the server's tick exactly like the DES shed tick: enabling
+// Capture rides the server's tick as it rides the DES shed tick: enabling
 // checkpoints in deterministic mode must not change a single accepted
-// tuple, SIC total or shed decision.
+// tuple, SIC total or shed decision. The tick also exports the captures as
+// infra.ckpt.* telemetry.
 TEST(ServerCheckpointTest, CaptureIsByteIdenticalToOff) {
-  auto run = [](CheckpointStore* store) {
-    std::vector<std::unique_ptr<QueryGraph>> graphs;
-    for (int q = 0; q < kQueries; ++q) {
-      graphs.push_back(MakeAvgGraph(q, 10 + q));
-    }
-    ManualClock clock;
-    ServerOptions opts;
-    opts.workers = 0;
-    opts.cpu_speed = kCpuSpeed;
-    opts.accounting = CostAccounting::kModeled;
-    opts.pace_admission = true;
-    opts.disseminate_sic = false;
-    opts.channel_capacity = 1 << 20;
-    ServerPipeline pipeline(opts, &clock,
-                            std::make_unique<BalanceSicShedder>(Rng(7)));
-    for (const auto& g : graphs) pipeline.AddQuery(g.get());
-    if (store != nullptr) {
-      CheckpointConfig config;
-      config.enabled = true;
-      config.cadence = Millis(500);
-      pipeline.EnableCheckpoints(store, config);
-    }
-    pipeline.Start();
-    std::vector<TimedBatch> arrivals = MakeArrivals();
-    DriveDeterministic(&pipeline, &clock, &arrivals, kHorizon);
-    pipeline.Stop();
-    DesRun out;
-    for (int q = 0; q < kQueries; ++q) {
-      out.accepted_sic[q] = pipeline.AcceptedSicTotal(q);
-      out.accepted_tuples[q] = pipeline.AcceptedTuplesTotal(q);
-    }
-    out.tuples_processed = pipeline.stats().tuples_processed;
-    out.tuples_shed = pipeline.stats().tuples_shed;
-    out.shed_invocations = pipeline.stats().shed_invocations;
-    return out;
-  };
+  const CheckpointConfig ckpt = CaptureEvery(Millis(500));
+  RunOutcome off = RunServer(/*workers=*/0, nullptr, ckpt);
 
+  telemetry::Telemetry telemetry;
+  telemetry::Install(&telemetry);
   CheckpointStore store;
-  DesRun off = run(nullptr);
-  DesRun on = run(&store);
+  RunOutcome on = RunServer(/*workers=*/0, &store, ckpt);
+  telemetry::Uninstall();
+
   ASSERT_GT(store.stats().taken, 0u);  // genuinely captured
-  for (int q = 0; q < kQueries; ++q) {
-    SCOPED_TRACE(q);
-    EXPECT_EQ(on.accepted_tuples[q], off.accepted_tuples[q]);
-    EXPECT_DOUBLE_EQ(on.accepted_sic[q], off.accepted_sic[q]);
-  }
-  EXPECT_EQ(on.tuples_processed, off.tuples_processed);
-  EXPECT_EQ(on.tuples_shed, off.tuples_shed);
-  EXPECT_EQ(on.shed_invocations, off.shed_invocations);
+  ExpectSameDecisions(on, off);
+  EXPECT_EQ(telemetry.metrics().GetCounter("infra.ckpt.taken")->Value(),
+            store.stats().taken);
 }
 
 // Process-restart model: a fresh pipeline hosting twin graphs restores the
@@ -220,23 +230,11 @@ TEST(ServerCheckpointTest, CaptureIsByteIdenticalToOff) {
 // Start(). The twins' re-serialized images are byte-equal to the stored
 // ones — the restore hit every (query, operator) pair, none were missed.
 TEST(ServerCheckpointTest, RestartRestoresEveryOperatorFromTheStore) {
-  std::vector<std::unique_ptr<QueryGraph>> graphs;
-  for (int q = 0; q < kQueries; ++q) {
-    graphs.push_back(MakeAvgGraph(q, 10 + q));
-  }
+  std::vector<std::unique_ptr<QueryGraph>> graphs = MakeGraphs();
   ManualClock clock;
-  ServerOptions opts;
-  opts.workers = 0;
-  opts.cpu_speed = kCpuSpeed;
-  opts.accounting = CostAccounting::kModeled;
-  opts.pace_admission = true;
-  opts.disseminate_sic = false;
-  opts.channel_capacity = 1 << 20;
-
+  const ServerOptions opts = OracleServerOptions(/*workers=*/0);
   CheckpointStore store;
-  CheckpointConfig config;
-  config.enabled = true;
-  config.cadence = Millis(250);
+  const CheckpointConfig config = CaptureEvery(Millis(250));
   {
     ServerPipeline pipeline(opts, &clock,
                             std::make_unique<BalanceSicShedder>(Rng(7)));
@@ -252,10 +250,7 @@ TEST(ServerCheckpointTest, RestartRestoresEveryOperatorFromTheStore) {
 
   // "Restart": twin graphs (same builder, same ids), fresh pipeline, same
   // durable store.
-  std::vector<std::unique_ptr<QueryGraph>> twins;
-  for (int q = 0; q < kQueries; ++q) {
-    twins.push_back(MakeAvgGraph(q, 10 + q));
-  }
+  std::vector<std::unique_ptr<QueryGraph>> twins = MakeGraphs();
   ManualClock clock2;
   ServerPipeline restarted(opts, &clock2,
                            std::make_unique<BalanceSicShedder>(Rng(7)));
