@@ -6,18 +6,16 @@
 // wave's SIC dip depth, censored MTTR and area-under-dip.
 //
 // Three jobs in one binary:
-//  * Trade-off sweep: legacy shared-graph inheritance (the pre-PR-10
-//    artifact: crash survival for free), honest reset (cold standby), and
+//  * Trade-off sweep: reset (cold standby, the default crash state) and
 //    checkpoint restore at cadences 2000/500/250 ms plus an approximate
 //    (error-bound) point — recovery quality vs serialized-byte overhead.
 //  * Gates (in-binary, deterministic): capture overhead stays monotone in
 //    cadence; the approximate point skips captures and writes fewer bytes
 //    than its exact twin; checkpoint restore dips no deeper than reset.
-//  * Determinism: enabling capture without ever restoring must leave the
-//    simulated run byte-identical to the checkpoint-off run, and parsim@1
-//    with capture + restore on must match its sequential twin. CI
-//    byte-diffs two full invocations on top (run-to-run identity at
-//    shards 1 and the sharded config).
+//  * Determinism: enabling capture without ever restoring (reset+capture)
+//    must leave the simulated run byte-identical to the checkpoint-off
+//    reset run. CI byte-diffs two full invocations on top (run-to-run
+//    identity at shards 1 and the sharded config).
 //
 // Flags (besides the PerfRecorder ones): --shards N, --nodes N,
 // --queries N.
@@ -58,8 +56,8 @@ int main(int argc, char** argv) {
   co.scale.arrival_wave = 12;
   co.scale.source_rate = 150.0;
   // The point of the exercise: windows much longer than the checkpoint
-  // cadence, so the three crash-state modes genuinely diverge in how much
-  // pane state survives a mid-pane crash.
+  // cadence, so reset and the checkpoint cadences genuinely diverge in how
+  // much pane state survives a mid-pane crash.
   co.scale.window = Seconds(8);
   // Deep waves after the arrival ramp and a full STW (see bench_recovery):
   // each query's pre-fault baseline is its steady state, and the measure
@@ -91,31 +89,23 @@ int main(int argc, char** argv) {
     SimDuration cadence;
     double error_bound;
     int shards;
-    bool force_parsim;
   };
   std::vector<ModeConfig> configs = {
-      {"legacy-shared", CrashStateMode::kLegacyShared, false, 0, 0.0, 1,
-       false},
-      // Same simulated run as legacy-shared, but capturing: the identity
-      // gate proving capture does zero simulated work.
-      {"legacy+capture", CrashStateMode::kLegacyShared, true, Millis(250),
-       0.0, 1, false},
-      {"reset", CrashStateMode::kReset, false, 0, 0.0, 1, false},
-      {"ckpt/2000ms", CrashStateMode::kCheckpoint, true, Millis(2000), 0.0, 1,
-       false},
-      {"ckpt/500ms", CrashStateMode::kCheckpoint, true, Millis(500), 0.0, 1,
-       false},
-      {"ckpt/250ms", CrashStateMode::kCheckpoint, true, Millis(250), 0.0, 1,
-       false},
+      {"reset", CrashStateMode::kReset, false, 0, 0.0, 1},
+      // Same simulated run as reset, but capturing: the identity gate
+      // proving capture does zero simulated work.
+      {"reset+capture", CrashStateMode::kReset, true, Millis(250), 0.0, 1},
+      {"ckpt/2000ms", CrashStateMode::kCheckpoint, true, Millis(2000), 0.0,
+       1},
+      {"ckpt/500ms", CrashStateMode::kCheckpoint, true, Millis(500), 0.0, 1},
+      {"ckpt/250ms", CrashStateMode::kCheckpoint, true, Millis(250), 0.0, 1},
       {"ckpt/250ms/approx", CrashStateMode::kCheckpoint, true, Millis(250),
-       0.5, 1, false},
-      {"ckpt/250ms/parsim1", CrashStateMode::kCheckpoint, true, Millis(250),
-       0.0, 1, true},
+       0.5, 1},
   };
   if (parallel_shards > 1) {
     configs.push_back({"ckpt/250ms/shards=" + std::to_string(parallel_shards),
                        CrashStateMode::kCheckpoint, true, Millis(250), 0.0,
-                       parallel_shards, false});
+                       parallel_shards});
   }
 
   struct ModeOutcome {
@@ -133,7 +123,6 @@ int main(int argc, char** argv) {
         config.cadence > 0 ? config.cadence : Millis(500);
     fo.checkpoint.error_bound = config.error_bound;
     fo.shards = config.shards;
-    fo.force_parsim_engine = config.force_parsim;
     fo.recovery.enabled = true;
     fo.recovery.recover_fraction = 0.85;
     auto fsps = MakeChurnFederation(scenario, fo);
@@ -166,7 +155,7 @@ int main(int argc, char** argv) {
                    static_cast<double>(ckpt.bytes_written));
 
     // The deterministic result line. Checkpoint counters are printed on a
-    // separate line: the legacy+capture identity gate compares *simulated
+    // separate line: the reset+capture identity gate compares *simulated
     // results* against the capture-off run, which by design has different
     // capture counters.
     char line[512];
@@ -209,21 +198,16 @@ int main(int argc, char** argv) {
     if (!ok) ++failures;
   };
 
-  const ModeOutcome& legacy = outcomes.at("legacy-shared");
-  const ModeOutcome& captured = outcomes.at("legacy+capture");
   const ModeOutcome& reset = outcomes.at("reset");
+  const ModeOutcome& captured = outcomes.at("reset+capture");
   const ModeOutcome& c2000 = outcomes.at("ckpt/2000ms");
   const ModeOutcome& c500 = outcomes.at("ckpt/500ms");
   const ModeOutcome& c250 = outcomes.at("ckpt/250ms");
   const ModeOutcome& approx = outcomes.at("ckpt/250ms/approx");
-  const ModeOutcome& parsim1 = outcomes.at("ckpt/250ms/parsim1");
 
   // Determinism: capture with no restore perturbs nothing, bit for bit.
-  gate(captured.ckpt.taken > 0 && captured.line == legacy.line,
+  gate(captured.ckpt.taken > 0 && captured.line == reset.line,
        "capture-only run byte-identical to checkpoint-off");
-  // Determinism: single-shard parallel fast path with capture + restore.
-  gate(parsim1.line == c250.line,
-       "checkpoint run at shards=1 byte-identical to sequential");
   // Overhead is monotone in cadence, and the approximate point skips
   // captures (writing strictly fewer bytes than its exact twin).
   gate(c250.ckpt.bytes_written > c500.ckpt.bytes_written &&

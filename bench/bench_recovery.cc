@@ -13,9 +13,8 @@
 //    (the bench fails otherwise) and re-checked in CI from the emitted
 //    BENCH_results.json metrics (check_regression.py --max-metric-ratio).
 //  * Determinism: the report contains only simulated quantities, so its
-//    bytes are a pure function of the scenario; the binary fails if a
-//    parsim@1 run diverges from its sequential twin, and CI byte-diffs two
-//    full invocations (covering the multi-shard run-to-run case too).
+//    bytes are a pure function of the scenario; CI byte-diffs two full
+//    invocations (run-to-run identity at 1 shard and at `--shards N`).
 //
 // Flags (besides the PerfRecorder ones): --shards N, --nodes N,
 // --queries N.
@@ -85,31 +84,24 @@ int main(int argc, char** argv) {
     std::string name;
     ReplacementPolicy policy;
     int shards;
-    bool force_parsim;
   };
   std::vector<PolicyConfig> configs = {
-      {"round-robin", ReplacementPolicy::kRoundRobin, 1, false},
-      {"round-robin/parsim1", ReplacementPolicy::kRoundRobin, 1, true},
-      {"sic-aware", ReplacementPolicy::kSicAware, 1, false},
-      {"sic-aware/parsim1", ReplacementPolicy::kSicAware, 1, true},
+      {"round-robin", ReplacementPolicy::kRoundRobin, 1},
+      {"sic-aware", ReplacementPolicy::kSicAware, 1},
   };
   if (parallel_shards > 1) {
     configs.push_back({"sic-aware/shards=" + std::to_string(parallel_shards),
-                       ReplacementPolicy::kSicAware, parallel_shards, false});
+                       ReplacementPolicy::kSicAware, parallel_shards});
   }
 
-  // Per-policy report line of the sequential run, for the parsim identity
-  // check, plus the crash-wave summaries of the two headline policies for
+  // Crash-wave summaries of the two single-shard headline policies, for
   // the fairness gate.
-  std::string seq_report[2];
   RecoverySummary headline[2];
-  bool identity_ok = true;
 
   for (const PolicyConfig& config : configs) {
     FspsOptions fo;
     fo.replacement = config.policy;
     fo.shards = config.shards;
-    fo.force_parsim_engine = config.force_parsim;
     fo.recovery.enabled = true;
     fo.recovery.recover_fraction = 0.85;
     auto fsps = MakeChurnFederation(scenario, fo);
@@ -129,8 +121,7 @@ int main(int argc, char** argv) {
     perf.AddMetric("mean_jain_ttr_ms", waves.mean_jain_ttr_ms);
     perf.AddMetric("jain_dips", waves.jain_dips);
 
-    // One deterministic line per config; a parsim@1 run must match its
-    // sequential twin byte-for-byte (single-shard parallel fast path).
+    // One deterministic line per config.
     char line[512];
     std::snprintf(
         line, sizeof(line),
@@ -174,13 +165,8 @@ int main(int argc, char** argv) {
       ++wave_index;
     }
 
-    bool sequential = !config.force_parsim && config.shards == 1;
-    size_t slot = config.policy == ReplacementPolicy::kSicAware ? 1 : 0;
-    if (sequential) {
-      seq_report[slot] = line;
-      headline[slot] = waves;
-    } else if (config.force_parsim && seq_report[slot] != line) {
-      identity_ok = false;
+    if (config.shards == 1) {
+      headline[config.policy == ReplacementPolicy::kSicAware ? 1 : 0] = waves;
     }
 
     reporter.AddRow(config.name,
@@ -191,14 +177,6 @@ int main(int argc, char** argv) {
                      waves.min_jain});
   }
   reporter.Print();
-
-  if (!identity_ok) {
-    std::fprintf(stderr,
-                 "FAIL: parallel engine at shards=1 diverged from the "
-                 "sequential engine on the recovery scenario\n");
-    return 1;
-  }
-  std::printf("recovery run at shards=1 byte-identical to sequential: OK\n");
 
   // The fairness gate: moving orphans to the least-loaded live node must
   // recover fairness no slower than the blind cursor. Censored MTTR, so

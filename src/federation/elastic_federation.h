@@ -9,12 +9,10 @@
 // knocking nodes out from under it.
 //
 // Determinism: the run is bit-identical run-to-run at any fixed shard
-// count, and byte-identical between the sequential engine and the parallel
-// engine at one shard. Unlike the non-elastic benches, different shard
-// counts may diverge from each other (re-balances re-forward in-flight
-// messages, and the landing epoch's width depends on the shard count); the
-// determinism contract's elastic exception is documented at
-// Engine::EnableElastic.
+// count. Different shard counts may diverge from each other (re-balances
+// re-forward in-flight messages, and the landing epoch's width depends on
+// the shard count); the determinism contract's elastic exception is
+// documented at ParallelEngine::EnableElastic.
 #ifndef THEMIS_FEDERATION_ELASTIC_FEDERATION_H_
 #define THEMIS_FEDERATION_ELASTIC_FEDERATION_H_
 
@@ -72,7 +70,7 @@ struct ElasticRunResult {
 
 /// Builds the Fsps for the scenario: MakeChurnFederation with the elastic
 /// control plane on (FspsOptions::elastic) and the forward-looking
-/// arrival-cost load signal. `base.shards` selects the engine.
+/// arrival-cost load signal. `base.shards` sets the shard count.
 std::unique_ptr<Fsps> MakeElasticFederation(const ElasticScenario& scenario,
                                             FspsOptions base = {});
 

@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "common/logging.h"
-#include "parsim/parallel_engine.h"
 #include "telemetry/telemetry.h"
 #include "shedding/baseline_shedders.h"
 #include "shedding/random_shedder.h"
@@ -13,13 +12,6 @@
 namespace themis {
 
 namespace {
-
-std::unique_ptr<Engine> MakeEngine(int shards, bool force_parsim) {
-  if (shards <= 1 && !force_parsim) {
-    return std::make_unique<SequentialEngine>();
-  }
-  return std::make_unique<ParallelEngine>(std::max(shards, 1));
-}
 
 // The jitter stream is derived from the run seed so two Fsps instances with
 // different seeds do not share a stream. XORing with (42 ^ 7) maps the
@@ -50,7 +42,7 @@ std::string SheddingPolicyName(SheddingPolicy policy) {
 Fsps::Fsps(FspsOptions options)
     : options_(options),
       rng_(options.seed),
-      engine_(MakeEngine(options.shards, options.force_parsim_engine)),
+      engine_(std::make_unique<ParallelEngine>(std::max(options.shards, 1))),
       network_(engine_->queue(0), options.default_link_latency,
                DeriveJitterSeed(options.seed)),
       recovery_(options.recovery) {
@@ -79,6 +71,11 @@ NodeId Fsps::AddNode(NodeOptions node_options) {
 }
 
 Result<NodeId> Fsps::AddNode(NodeOptions node_options, int shard) {
+  THEMIS_RETURN_NOT_OK(ValidateAddNode(shard));
+  return AddNodeNow(node_options, shard);
+}
+
+Status Fsps::ValidateAddNode(int shard) const {
   int shards = engine_->num_shards();
   if (shard != kAutoShard && (shard < 0 || shard >= shards)) {
     return Status::InvalidArgument("shard " + std::to_string(shard) +
@@ -91,7 +88,7 @@ Result<NodeId> Fsps::AddNode(NodeOptions node_options, int shard) {
         "FspsOptions::elastic (the non-elastic shard plan freezes the node "
         "set at Start)");
   }
-  return AddNodeNow(node_options, shard);
+  return Status::OK();
 }
 
 NodeId Fsps::AddNodeNow(NodeOptions node_options, int shard) {
@@ -429,18 +426,6 @@ void Fsps::MarkRecoveryDisturbance(DisturbanceKind kind) {
   recovery_.MarkDisturbance(engine_->now(), kind);
 }
 
-Status Fsps::CrashNode(NodeId id) {
-  return PlanTopology().Crash(id).Apply();
-}
-
-Status Fsps::RestoreNode(NodeId id) {
-  return PlanTopology().Restore(id).Apply();
-}
-
-Status Fsps::SetLinkLatency(NodeId a, NodeId b, SimDuration latency) {
-  return PlanTopology().SetLinkLatency(a, b, latency).Apply();
-}
-
 Status Fsps::ValidatePlanOp(const TopologyPlan::Op& op,
                             std::vector<char>* scratch_alive) const {
   // `scratch_alive` carries the liveness/existence state the plan's earlier
@@ -491,22 +476,10 @@ Status Fsps::ValidatePlanOp(const TopologyPlan::Op& op,
       }
       return Status::OK();
     }
-    case TopologyPlan::OpKind::kAddNode: {
-      int shards = engine_->num_shards();
-      if (op.shard != kAutoShard && (op.shard < 0 || op.shard >= shards)) {
-        return Status::InvalidArgument("shard " + std::to_string(op.shard) +
-                                       " out of range [0, " +
-                                       std::to_string(shards) + ")");
-      }
-      if (started_ && shards > 1 && !options_.elastic) {
-        return Status::FailedPrecondition(
-            "adding a node to a started sharded engine requires "
-            "FspsOptions::elastic (the non-elastic shard plan freezes the "
-            "node set at Start)");
-      }
+    case TopologyPlan::OpKind::kAddNode:
+      THEMIS_RETURN_NOT_OK(ValidateAddNode(op.shard));
       alive.push_back(1);
       return Status::OK();
-    }
     case TopologyPlan::OpKind::kRebalance:
       if (engine_->num_shards() <= 1) return Status::OK();  // no-op
       if (!options_.elastic) {
@@ -587,7 +560,7 @@ void Fsps::CrashNodeNow(NodeId id) {
   Node* n = node(id);
   if (options_.recovery.enabled) {
     // Baseline the dip before the crash mutates anything: a wave of
-    // CrashNode calls at one instant coalesces into one disturbance.
+    // crashes at one instant coalesces into one disturbance.
     MarkRecoveryDisturbance(DisturbanceKind::kCrashWave);
   }
   n->Crash();
@@ -627,8 +600,8 @@ void Fsps::SetLinkLatencyNow(NodeId a, NodeId b, SimDuration latency) {
 Status Fsps::RebalanceNow(const std::vector<int>& group_of_node) {
   const int shards = engine_->num_shards();
   if (shards <= 1) {
-    // Trivially balanced — but still counted, so a sequential run and a
-    // parsim@1 run of the same elastic scenario report identical stats.
+    // Trivially balanced, but still counted: the rebalance counter reports
+    // the control plane's decisions, not their effect.
     churn_stats_.rebalances += 1;
     return Status::OK();
   }
@@ -705,7 +678,7 @@ Status Fsps::RebalanceNow(const std::vector<int>& group_of_node) {
     MarkRecoveryDisturbance(DisturbanceKind::kRebalance);
   }
 
-  // Migration, in entity order (see Engine::EnableElastic for the
+  // Migration, in entity order (see ParallelEngine::EnableElastic for the
   // protocol): nodes re-point their timer chains, the network's map swaps
   // in place (jitter lanes stay with their shards), coordinators follow
   // their home node, and source drivers follow their destination host so
@@ -840,17 +813,14 @@ void Fsps::ReplaceOrphans(QueryId q, NodeId crashed) {
     nid = target;
     occupied.insert(target);
     // Crash-time state semantics. Operator state (windows, panes) lives in
-    // the shared QueryGraph, so hosting the fragment elsewhere would
-    // silently resume it with the crashed node's live state — a simulation
-    // artifact no real runtime has. kLegacyShared keeps that inheritance
-    // byte-for-byte; kReset deliberately clears the fragment's operators;
-    // kCheckpoint restores each from its last image in the crashed node's
-    // store (which models a durable backup and survives the crash), then
-    // moves the image to the new host so a second crash there restores the
-    // right state.
+    // the shared QueryGraph, so hosting the fragment elsewhere as-is would
+    // resume it with the crashed node's live state, which no real runtime
+    // can reach. kReset clears the fragment's operators; kCheckpoint
+    // restores each from its last image in the crashed node's store (which
+    // models a durable backup and survives the crash), then moves the
+    // image to the new host so a second crash there restores the right
+    // state.
     switch (options_.crash_state) {
-      case CrashStateMode::kLegacyShared:
-        break;
       case CrashStateMode::kReset:
         for (OperatorId oid : graph->fragment_ops(frag)) {
           graph->op(oid)->ResetState();

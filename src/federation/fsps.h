@@ -16,10 +16,10 @@
 #include "federation/topology_plan.h"
 #include "metrics/recovery_tracker.h"
 #include "node/node.h"
+#include "parsim/parallel_engine.h"
 #include "runtime/checkpoint.h"
 #include "runtime/query_graph.h"
 #include "shedding/balance_sic_shedder.h"
-#include "sim/engine.h"
 #include "sim/event_queue.h"
 #include "sim/network.h"
 #include "workload/sources.h"
@@ -49,23 +49,19 @@ struct FspsOptions {
   SimDuration default_link_latency = Millis(5);  ///< Table 2 LAN star
   SimDuration source_link_latency = Millis(5);   ///< source -> ingest node
   uint64_t seed = 42;
-  /// Simulation shards. 1 (default) runs the single-threaded
-  /// SequentialEngine — the historical behaviour, byte-for-byte. >1 runs
-  /// the conservative parallel engine (themis_parsim): nodes are
-  /// partitioned across `shards` worker threads synchronized in barrier
-  /// epochs of the minimum cross-shard link latency. Results are
-  /// deterministic run-to-run at any shard count. Multi-shard runs freeze
-  /// the *node set* at Start(): add all nodes first. All control-plane
-  /// mutation — deploy/undeploy, CrashNode/RestoreNode, SetLinkLatency —
-  /// stays between RunFor calls; link edits queue and apply at the next
-  /// run boundary, where the epoch width is re-derived.
+  /// Simulation shards of the conservative parallel engine (themis_parsim).
+  /// 1 (default) runs every event on the driver thread with no epoch
+  /// machinery; >1 partitions nodes across `shards` worker threads
+  /// synchronized in barrier epochs of the minimum cross-shard link
+  /// latency. Results are bit-identical run-to-run at any fixed shard
+  /// count; identity across shard counts is not promised (see
+  /// parsim/parallel_engine.h). Non-elastic multi-shard runs freeze the
+  /// *node set* at Start(): add all nodes first. All control-plane
+  /// mutation — deploy/undeploy and every TopologyPlan — stays between
+  /// RunFor calls; link edits queue and apply at the next run boundary,
+  /// where the epoch width is re-derived.
   int shards = 1;
-  /// Runs the parallel engine even at shards == 1 (its single-shard fast
-  /// path, which must be byte-identical to SequentialEngine). Used by the
-  /// determinism tests and the CI identity byte-diff; no reason to set it
-  /// otherwise.
-  bool force_parsim_engine = false;
-  /// How CrashNode re-places orphaned fragments. The default keeps the
+  /// How a crash re-places orphaned fragments. The default keeps the
   /// PR 4 round-robin cursor byte-for-byte; kSicAware moves orphans to the
   /// least-overloaded live candidate (see federation/placement.h).
   ReplacementPolicy replacement = ReplacementPolicy::kRoundRobin;
@@ -79,16 +75,16 @@ struct FspsOptions {
   /// Elastic mode: the sharded engine admits mid-run topology growth
   /// (AddNode after Start) and shard re-balancing (TopologyPlan::Rebalance)
   /// by wrapping every sharded delivery in a re-forwarding trampoline (see
-  /// Engine::EnableElastic for the migration protocol). Off by default: the
-  /// wrapper costs one allocation per message, and elastic runs at
-  /// different shard counts may diverge from each other (run-to-run
-  /// determinism at a fixed count, and sequential == parsim@1, still hold
-  /// exactly). Irrelevant at shards == 1.
+  /// ParallelEngine::EnableElastic for the migration protocol). Off by
+  /// default: the wrapper costs one allocation per message, and elastic
+  /// runs at different shard counts may diverge from each other (run-to-run
+  /// determinism at a fixed count still holds exactly). Irrelevant at
+  /// shards == 1.
   bool elastic = false;
   /// Recovery observability (metrics/recovery_tracker.h). When
   /// `recovery.enabled`, RunFor splits its run at the sampling cadence and
   /// feeds every deployed query's SIC into the tracker, and the churn
-  /// control plane (CrashNode / RestoreNode / applied link edits) marks
+  /// control plane (crashes, restores, applied link edits) marks
   /// disturbances so dip depth and time-to-recover are measured per query.
   /// Disabled by default: zero overhead, zero RunFor re-segmentation, every
   /// pre-existing figure byte-identical.
@@ -99,11 +95,11 @@ struct FspsOptions {
   /// trades layout, not semantics (tests/columnar_test.cc and the CI parity
   /// byte-diff pin this). Off by default.
   bool columnar = false;
-  /// What a re-placed fragment's operator state looks like after CrashNode.
-  /// The default keeps the pre-PR-10 shared-graph inheritance byte-for-byte;
-  /// kReset deliberately clears it, kCheckpoint restores from the crashed
-  /// node's checkpoint store (see federation/placement.h).
-  CrashStateMode crash_state = CrashStateMode::kLegacyShared;
+  /// What a re-placed fragment's operator state looks like after a crash:
+  /// empty (kReset, the default — the crashed node's state is gone), or
+  /// restored from the crashed node's checkpoint store (kCheckpoint; see
+  /// federation/placement.h).
+  CrashStateMode crash_state = CrashStateMode::kReset;
   /// Operator-state checkpointing (runtime/checkpoint.h). When enabled,
   /// every node captures images of its hosted operators' state at the
   /// configured cadence (right after the shed-tick pump, so capture does
@@ -122,7 +118,7 @@ struct FspsOptions {
 struct FspsChurnStats {
   uint64_t crashes = 0;
   uint64_t restores = 0;
-  uint64_t latency_updates = 0;    ///< queued SetLinkLatency edits
+  uint64_t latency_updates = 0;    ///< queued link-latency edits
   uint64_t replaced_fragments = 0; ///< orphans moved to live nodes
   uint64_t dropped_queries = 0;    ///< force-undeployed: no live candidates
   uint64_t nodes_added = 0;        ///< mid-run joins (AddNode after Start)
@@ -178,7 +174,7 @@ class Fsps : public BatchRouter {
   /// Shard 0's event queue. With shards > 1, use engine() for the others;
   /// manual scheduling is only legal between RunFor calls.
   EventQueue* queue() { return engine_->queue(0); }
-  Engine* engine() { return engine_.get(); }
+  ParallelEngine* engine() { return engine_.get(); }
   /// Current simulated time (all shards agree between RunFor calls).
   SimTime now() const { return engine_->now(); }
   Rng* rng() { return &rng_; }
@@ -205,39 +201,10 @@ class Fsps : public BatchRouter {
 
   // --- dynamic topology (control plane; call between RunFor calls) ----------
 
-  /// Returns a fresh mutation batch against this federation. Stage ops on
-  /// it and commit with Apply(); see federation/topology_plan.h. This is
-  /// the control-plane entry point — the per-call methods below are
-  /// single-op shims kept for source compatibility.
+  /// Returns a fresh mutation batch against this federation: the control
+  /// plane for crashes, restores, link edits, joins and re-balances. Stage
+  /// ops on it and commit with Apply(); see federation/topology_plan.h.
   TopologyPlan PlanTopology() { return TopologyPlan(this); }
-
-  /// DEPRECATED shim for PlanTopology().Crash(id).Apply().
-  ///
-  /// Fails node `id`: its input buffer drains back to the batch pool,
-  /// in-flight batches addressed to it die at ingress, and every fragment
-  /// it hosted is re-placed onto live nodes (on the crashed node's
-  /// simulation shard when sharded — source drivers and the coordinator are
-  /// shard-pinned). Operator state lives in the shared QueryGraph, so
-  /// window contents migrate with the fragment. Queries with no live
-  /// candidate host are force-undeployed. Errors: NotFound for unknown
-  /// ids, FailedPrecondition if already crashed.
-  Status CrashNode(NodeId id);
-
-  /// DEPRECATED shim for PlanTopology().Restore(id).Apply().
-  ///
-  /// Rejoins a crashed node, empty: it accepts traffic and deployments
-  /// again (fragments do not move back automatically). Errors: NotFound,
-  /// FailedPrecondition if not crashed.
-  Status RestoreNode(NodeId id);
-
-  /// DEPRECATED shim for PlanTopology().SetLinkLatency(a, b, l).Apply().
-  ///
-  /// Queues a link-latency change ((a, b), both directions; kInvalidId is
-  /// the source pseudo-node). The edit — and the re-derived epoch width on
-  /// a sharded engine — takes effect at the next RunFor boundary, never
-  /// mid-epoch. On a sharded engine the latency must stay positive (a
-  /// zero-latency cross-shard link admits no conservative schedule).
-  Status SetLinkLatency(NodeId a, NodeId b, SimDuration latency);
 
   const FspsChurnStats& churn_stats() const { return churn_stats_; }
 
@@ -281,9 +248,13 @@ class Fsps : public BatchRouter {
   /// Validation half of ApplyPlan; mutates only the scratch vectors.
   Status ValidatePlanOp(const TopologyPlan::Op& op,
                         std::vector<char>* scratch_alive) const;
-  // Commit internals: the single-op bodies behind both TopologyPlan and the
-  // deprecated per-call shims. Preconditions were validated; the remaining
-  // Status returns are the commit-time checks (see topology_plan.h).
+  /// The node-join checks shared by AddNode(options, shard) and a staged
+  /// TopologyPlan::AddNode: `shard` in range (or kAutoShard), and a started
+  /// sharded engine only grows when elastic.
+  Status ValidateAddNode(int shard) const;
+  // Commit internals: the single-op bodies behind TopologyPlan.
+  // Preconditions were validated; the remaining Status return is
+  // Rebalance's commit-time check (see topology_plan.h).
   void CrashNodeNow(NodeId id);
   void RestoreNodeNow(NodeId id);
   void SetLinkLatencyNow(NodeId a, NodeId b, SimDuration latency);
@@ -323,7 +294,7 @@ class Fsps : public BatchRouter {
   Rng rng_;
   // The engine owns the shard event queues; nodes, coordinators and sources
   // hold pointers into them, so it is declared first (destroyed last).
-  std::unique_ptr<Engine> engine_;
+  std::unique_ptr<ParallelEngine> engine_;
   Network network_;
   std::vector<int> shard_of_node_;
   std::vector<std::unique_ptr<Node>> nodes_;

@@ -110,8 +110,6 @@ std::string LoadSignalName(LoadSignalKind kind) {
 
 std::string CrashStateModeName(CrashStateMode mode) {
   switch (mode) {
-    case CrashStateMode::kLegacyShared:
-      return "legacy-shared";
     case CrashStateMode::kReset:
       return "reset";
     case CrashStateMode::kCheckpoint:

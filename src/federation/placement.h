@@ -39,8 +39,8 @@ std::map<FragmentId, NodeId> PlaceFragments(const QueryGraph& graph,
                                             PlacementPolicy policy,
                                             double zipf_s, Rng* rng);
 
-/// How Fsps::CrashNode re-places a crashed node's orphaned fragments onto
-/// the live candidate set.
+/// How a TopologyPlan::Crash re-places the crashed node's orphaned fragments
+/// onto the live candidate set.
 enum class ReplacementPolicy {
   /// PR 4 behaviour, byte-for-byte: a round-robin cursor spreads orphans
   /// evenly over the candidates, blind to how loaded each one is.
@@ -78,17 +78,13 @@ std::string LoadSignalName(LoadSignalKind kind);
 
 /// What happens to a re-placed fragment's operator state at crash time.
 ///
-/// Historically operator state "survived" a crash only because windows live
-/// in the shared QueryGraph — a simulation artifact a real runtime does not
-/// have. This knob makes the semantics explicit.
+/// Windows live in the shared QueryGraph, so a re-placed fragment could
+/// technically resume with the crashed node's live state; no federation of
+/// autonomous sites can do that, so every mode discards it and the knob
+/// only picks what replaces it.
 enum class CrashStateMode {
-  /// Pre-PR-10 behaviour, byte-for-byte: the re-placed fragment silently
-  /// resumes with the crashed node's live window state through the shared
-  /// graph. Optimistic (a real deployment loses that state); kept as the
-  /// default for byte-compatibility with every earlier figure.
-  kLegacyShared,
-  /// The honest baseline: a re-placed fragment starts from empty operator
-  /// state, like a fresh deployment on the new host would.
+  /// The default: a re-placed fragment starts from empty operator state,
+  /// like a fresh deployment on the new host would.
   kReset,
   /// Bounded-error recovery: the fragment restores from its last image in
   /// the crashed node's CheckpointStore (which models a durable backup and
@@ -97,7 +93,7 @@ enum class CrashStateMode {
   kCheckpoint,
 };
 
-/// Mode name as printed in reports ("legacy-shared", "reset", "checkpoint").
+/// Mode name as printed in reports ("reset", "checkpoint").
 std::string CrashStateModeName(CrashStateMode mode);
 
 /// One re-placement candidate: a live node and its overload signal

@@ -36,7 +36,7 @@ struct ScaleRunResult {
 /// (cluster c -> shard c * shards / clusters, so LAN links never cross
 /// shards and the lookahead is the WAN latency), applies the LAN/WAN
 /// latencies, and derives node cpu_speed from the scenario's aggregate
-/// source rate and overload target. `base.shards` selects the engine.
+/// source rate and overload target. `base.shards` sets the shard count.
 std::unique_ptr<Fsps> MakeScaleFederation(const ScaleScenario& scenario,
                                           FspsOptions base = {});
 

@@ -5,10 +5,8 @@
 // the middle of a batch does not leave the federation half-churned, and
 // multi-op transitions ("add two nodes, wire their LAN links, re-balance")
 // read as one declarative unit instead of a call sequence with hidden
-// ordering constraints.
-//
-// The legacy per-call methods (Fsps::CrashNode and friends) are thin shims
-// over single-op plans; in-tree callers go through TopologyPlan.
+// ordering constraints. A single mutation is a one-op plan:
+// `fsps.PlanTopology().Crash(id).Apply()`.
 #ifndef THEMIS_FEDERATION_TOPOLOGY_PLAN_H_
 #define THEMIS_FEDERATION_TOPOLOGY_PLAN_H_
 
@@ -47,13 +45,31 @@ class TopologyPlan {
   TopologyPlan(const TopologyPlan&) = delete;
   TopologyPlan& operator=(const TopologyPlan&) = delete;
 
-  /// Stages a node failure (see Fsps::CrashNode for semantics).
+  /// Stages a failure of node `id`. On commit its input buffer drains back
+  /// to the batch pool, in-flight batches addressed to it die at ingress,
+  /// and every fragment it hosted is re-placed onto live nodes (on the
+  /// crashed node's simulation shard when sharded — source drivers and the
+  /// coordinator are shard-pinned) under FspsOptions::replacement. The
+  /// re-placed operators' state follows FspsOptions::crash_state: empty
+  /// (kReset, the default) or restored from the crashed node's last
+  /// checkpoint image (kCheckpoint). Queries with no live candidate host
+  /// are force-undeployed. Validation: NotFound for unknown ids,
+  /// FailedPrecondition if the node is already crashed (counting earlier
+  /// ops of this plan).
   TopologyPlan& Crash(NodeId id);
-  /// Stages a crashed node's rejoin.
+  /// Stages a crashed node's rejoin. It comes back empty: it accepts
+  /// traffic and deployments again, but fragments do not move back
+  /// automatically. Validation: NotFound for unknown ids,
+  /// FailedPrecondition if the node is not crashed.
   TopologyPlan& Restore(NodeId id);
   /// Stages a link-latency change ((a, b), both directions; kInvalidId is
   /// the source pseudo-node). Links to nodes added earlier in this plan are
-  /// legal: use the reserved id AddNode returned.
+  /// legal: use the reserved id AddNode returned. The edit queues in the
+  /// Network and takes effect — with the re-derived epoch width on a
+  /// sharded engine — at the next RunFor boundary, never mid-epoch.
+  /// Validation: InvalidArgument for a self-link, an unknown node, a
+  /// negative latency, or a zero latency on a sharded engine (a
+  /// zero-latency cross-shard link admits no conservative schedule).
   TopologyPlan& SetLinkLatency(NodeId a, NodeId b, SimDuration latency);
   /// Stages a node join and returns the id the node will get — valid for
   /// later ops in this plan (link wiring, group maps) and, after a

@@ -83,8 +83,8 @@ class SicRing {
 
 /// What kind of control-plane event opened a disturbance window.
 enum class DisturbanceKind {
-  kCrashWave,   ///< one or more CrashNode calls at the same instant
-  kRestore,     ///< RestoreNode (rejoin churn also perturbs placement)
+  kCrashWave,   ///< one or more node crashes at the same instant
+  kRestore,     ///< a node rejoin (rejoin churn also perturbs placement)
   kLinkChange,  ///< a batch of link-latency edits applied at a run boundary
   kRebalance,   ///< an elastic shard re-balance migrated entities
 };
@@ -176,8 +176,8 @@ class RecoveryTracker {
 
   /// Opens a disturbance window at `now`, baselined at each query's latest
   /// sampled SIC (callers sample first, then mark). A repeated call at the
-  /// same (time, kind) coalesces — a wave of CrashNode calls at one instant
-  /// is one disturbance with `events` incremented.
+  /// same (time, kind) coalesces — a wave of crashes at one instant is
+  /// one disturbance with `events` incremented.
   void MarkDisturbance(SimTime now, DisturbanceKind kind);
 
   /// Time of the latest accepted sample (-1 before the first).

@@ -86,9 +86,9 @@ class Node {
   void Start();
 
   /// Moves the node to another shard's event queue (elastic re-balance; see
-  /// Engine::EnableElastic for the protocol). Only legal between engine
-  /// runs. Live timer chains (shed timer, pending processing event) re-arm
-  /// on the new queue at their original deadlines — the phase is kept —
+  /// ParallelEngine::EnableElastic for the protocol). Only legal between
+  /// engine runs. Live timer chains (shed timer, pending processing event)
+  /// re-arm on the new queue at their original deadlines — the phase is kept —
   /// and the events still queued on the old shard are neutered by a
   /// generation bump, so they no-op when that shard fires them.
   void MigrateQueue(EventQueue* queue);

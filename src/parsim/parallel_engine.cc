@@ -93,8 +93,8 @@ void ParallelEngine::RunUntil(SimTime t) {
     return;
   }
   if (shards == 1) {
-    // One shard: no cross-shard traffic possible, no epoch machinery — this
-    // is the byte-identity path with SequentialEngine.
+    // One shard: no cross-shard traffic possible, no epoch machinery — the
+    // driver thread runs the single queue straight to the target.
     queues_[0]->RunUntil(t);
     now_ = t;
     return;

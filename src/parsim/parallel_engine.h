@@ -11,9 +11,14 @@
 // inbox rings (each written by exactly one worker, lock-free). At the epoch
 // barrier every destination shard merges its incoming rings in the
 // deterministic order (deliver_time, from_shard, ring_seq) and schedules
-// them onto its queue, so results are bit-identical run-to-run at any shard
-// count — and byte-identical to the SequentialEngine at shards = 1, where
-// the epoch machinery is bypassed entirely.
+// them onto its queue, so results are bit-identical run-to-run at any fixed
+// shard count. One shard bypasses the epoch machinery entirely: RunUntil is
+// a plain EventQueue::RunUntil on the driver thread, which is how Fsps runs
+// every single-shard federation.
+//
+// Bit-identity *across* shard counts is not part of the contract: it holds
+// only where CI checks it (the static scale scenario, shards 1 vs 4), and
+// elastic runs are a documented exception (see EnableElastic).
 //
 // Determinism argument, inductively over epochs: each shard's intra-epoch
 // execution is a deterministic function of its queue contents; the rings it
@@ -34,22 +39,29 @@
 
 namespace themis {
 
-/// \brief Sharded barrier-epoch engine (see file comment).
-class ParallelEngine : public Engine, public CrossShardSink {
+/// \brief Sharded barrier-epoch engine (see file comment): one or more
+/// EventQueue shards advanced together to a common target time.
+class ParallelEngine : public CrossShardSink {
  public:
   /// \param shards number of worker shards (>= 1)
   explicit ParallelEngine(int shards);
   ~ParallelEngine() override;
 
-  int num_shards() const override { return static_cast<int>(queues_.size()); }
-  EventQueue* queue(int shard) override { return queues_[shard].get(); }
-  CrossShardSink* sink() override { return this; }
+  int num_shards() const { return static_cast<int>(queues_.size()); }
+  /// The event queue of `shard` (0 <= shard < num_shards()). Entities pinned
+  /// to a shard schedule their callbacks on its queue.
+  EventQueue* queue(int shard) { return queues_[shard].get(); }
+  /// Cross-shard message sink (installed into the Network's ShardPlan).
+  CrossShardSink* sink() { return this; }
 
-  /// Sets the epoch width. Must be > 0 when cross-shard traffic exists (a
+  /// Sets the epoch width: the conservative lookahead (minimum cross-shard
+  /// link latency). Must be > 0 when cross-shard traffic exists (a
   /// zero-latency cross-shard link admits no conservative parallel
   /// schedule); <= 0 declares "no cross-shard traffic" and runs each shard
-  /// to the target in one stretch.
-  void SetLookahead(SimDuration lookahead) override {
+  /// to the target in one stretch. May be called again between RunUntil
+  /// calls (epoch boundaries) after a topology mutation re-derives the
+  /// minimum cross-shard latency.
+  void SetLookahead(SimDuration lookahead) {
     lookahead_ = lookahead;
     if (telemetry::Telemetry* tel = telemetry::Get()) {
       tel->metrics()
@@ -57,17 +69,43 @@ class ParallelEngine : public Engine, public CrossShardSink {
           ->Set(static_cast<double>(lookahead));
     }
   }
-  SimDuration lookahead() const override { return lookahead_; }
+  /// Current epoch width; -1 until SetLookahead is called.
+  SimDuration lookahead() const { return lookahead_; }
 
-  /// Elastic mode (see Engine::EnableElastic): the shard map may change
-  /// between runs, so EnqueueRemote accepts stale re-forwards even when the
-  /// current topology has no cross-shard link (lookahead <= 0) — they merge
-  /// at the end of the stretch and run in the next stretch.
-  void EnableElastic() override { elastic_ = true; }
+  /// Declares that the node->shard map may change between runs (elastic
+  /// federation). Call before the first RunUntil. The migration protocol —
+  /// every step happens between RunUntil calls, where all shard clocks are
+  /// equal and the cross-shard inbox rings are provably empty (the final
+  /// epoch's merge runs before RunUntil returns):
+  ///   1. Entities re-point their timer chains at the new shard's queue,
+  ///      bumping a generation counter so events still queued on the old
+  ///      shard no-op when they fire there (generations are only written
+  ///      between runs, so worker-thread reads are race-free).
+  ///   2. The Network's shard map is swapped in place (jitter lanes and
+  ///      traffic counters stay with their shards).
+  ///   3. In-flight deliveries scheduled before the re-balance fire on the
+  ///      shard that held the destination at send time; the Network's
+  ///      elastic trampoline re-forwards them through EnqueueRemote to the
+  ///      destination's current shard, where they land at the next epoch
+  ///      barrier. EnqueueRemote therefore tolerates lookahead <= 0 here (a
+  ///      re-forward may outlive the last cross-shard link); such
+  ///      stragglers merge at the end of the stretch and run in the next.
+  /// Re-forwarded deliveries land up to one epoch late, so elastic runs at
+  /// different shard counts may diverge from each other. Run-to-run
+  /// determinism at a fixed shard count is still exact (a one-shard map
+  /// never changes).
+  void EnableElastic() { elastic_ = true; }
 
-  void RunUntil(SimTime t) override;
-  SimTime now() const override { return now_; }
-  uint64_t executed() const override;
+  /// Advances every shard to simulated time `t` (inclusive: events at `t`
+  /// run; equal-time events run in FIFO order). Returns with all shard
+  /// clocks equal to `t` and all cross-shard inboxes drained. Only the
+  /// driver thread may call this; observation and control-plane mutation
+  /// (deploy/undeploy, TopologyPlan) are only legal between calls.
+  void RunUntil(SimTime t);
+  /// Common simulated time of all shards (between RunUntil calls).
+  SimTime now() const { return now_; }
+  /// Total events executed across all shards (diagnostics).
+  uint64_t executed() const;
 
   // CrossShardSink — called from the worker thread running `from_shard`.
   void EnqueueRemote(int from_shard, int to_shard, SimTime deliver_time,

@@ -18,8 +18,9 @@
 // standing in for a durable backup store: Node keeps its CheckpointStore
 // across Crash()/Restore(), which is exactly the upstream-backup model.
 // Capture does zero *simulated* work, like telemetry, so enabling
-// checkpoints never perturbs the event schedule — sequential == parsim@1
-// and run-to-run bit-identity hold with the feature on.
+// checkpoints never perturbs the event schedule: a capture-only run is
+// bit-identical to a checkpoint-off run, and run-to-run bit-identity holds
+// with the feature on.
 #ifndef THEMIS_RUNTIME_CHECKPOINT_H_
 #define THEMIS_RUNTIME_CHECKPOINT_H_
 

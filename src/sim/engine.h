@@ -1,11 +1,9 @@
-// Simulation engine abstraction. The federation layer drives a simulation
-// through this interface instead of a raw EventQueue, so the same deployment
-// code runs on the single-threaded SequentialEngine (the historical
-// behaviour, bit-for-bit) or on the sharded parallel engine in
-// src/parsim (themis_parsim), which partitions nodes across worker-thread
-// shards synchronized in conservative barrier epochs.
+// Shard vocabulary shared by the Network (themis_sim) and the parallel
+// engine (src/parsim, themis_parsim), which partitions nodes across
+// worker-thread shards synchronized in conservative barrier epochs. The
+// engine itself lives in parsim, which depends on sim; these two types are
+// what the Network needs to route deliveries without depending back.
 //
-// Vocabulary shared by both engines:
 //   * shard      — one EventQueue plus the entities pinned to it. Entities
 //                  on the same shard may interact directly; entities on
 //                  different shards may only interact through Network::Send,
@@ -59,84 +57,6 @@ struct ShardPlan {
     if (id < 0 || static_cast<size_t>(id) >= shard_of_node.size()) return 0;
     return shard_of_node[id];
   }
-};
-
-/// \brief Discrete-event execution engine: one or more EventQueue shards
-/// advanced together to a common target time.
-class Engine {
- public:
-  virtual ~Engine() = default;
-
-  virtual int num_shards() const = 0;
-  /// The event queue of `shard` (0 <= shard < num_shards()). Entities pinned
-  /// to a shard schedule their callbacks on its queue.
-  virtual EventQueue* queue(int shard) = 0;
-
-  /// Sets the conservative lookahead (minimum cross-shard link latency):
-  /// the barrier-epoch width of the parallel engine. `lookahead <= 0` means
-  /// "no cross-shard traffic exists" and lets shards run to the target in
-  /// one stretch. No-op on the sequential engine. Must be called before the
-  /// first RunUntil when cross-shard links exist — and may be called again
-  /// between RunUntil calls (epoch boundaries) after a topology mutation
-  /// re-derives the minimum cross-shard latency.
-  virtual void SetLookahead(SimDuration lookahead) = 0;
-
-  /// Current lookahead (epoch width); -1 on engines without one.
-  virtual SimDuration lookahead() const { return -1; }
-
-  /// Declares that the node->shard map may change between runs (elastic
-  /// federation). Call before the first RunUntil. The migration protocol —
-  /// every step happens between RunUntil calls, where all shard clocks are
-  /// equal and the cross-shard inbox rings are provably empty (the final
-  /// epoch's merge runs before RunUntil returns):
-  ///   1. Entities re-point their timer chains at the new shard's queue,
-  ///      bumping a generation counter so events still queued on the old
-  ///      shard no-op when they fire there (generations are only written
-  ///      between runs, so worker-thread reads are race-free).
-  ///   2. The Network's shard map is swapped in place (jitter lanes and
-  ///      traffic counters stay with their shards).
-  ///   3. In-flight deliveries scheduled before the re-balance fire on the
-  ///      shard that held the destination at send time; the Network's
-  ///      elastic trampoline re-forwards them through EnqueueRemote to the
-  ///      destination's current shard, where they land at the next epoch
-  ///      barrier. On an elastic engine EnqueueRemote therefore tolerates
-  ///      lookahead <= 0 (a re-forward may outlive the last cross-shard
-  ///      link); such stragglers merge at the end of the stretch instead.
-  /// Re-forwarded deliveries land up to one epoch late, so elastic runs at
-  /// different shard counts may diverge from each other — run-to-run
-  /// determinism at a fixed shard count and sequential == parsim@1 are
-  /// still exact (a one-shard map never changes).
-  virtual void EnableElastic() {}
-
-  /// Cross-shard message sink, or nullptr for engines without one.
-  virtual CrossShardSink* sink() { return nullptr; }
-
-  /// Advances every shard to simulated time `t` (inclusive: events at `t`
-  /// run). Returns with all shard clocks equal to `t` and all cross-shard
-  /// inboxes drained. Only the driver thread may call this; observation and
-  /// control-plane mutation (deploy/undeploy) are only legal between calls.
-  virtual void RunUntil(SimTime t) = 0;
-
-  /// Common simulated time of all shards (between RunUntil calls).
-  virtual SimTime now() const = 0;
-
-  /// Total events executed across all shards (diagnostics).
-  virtual uint64_t executed() const = 0;
-};
-
-/// \brief The single-threaded engine: one shard, one EventQueue, events at
-/// equal times in FIFO order — the pre-parsim simulator, bit-for-bit.
-class SequentialEngine : public Engine {
- public:
-  int num_shards() const override { return 1; }
-  EventQueue* queue(int) override { return &queue_; }
-  void SetLookahead(SimDuration) override {}
-  void RunUntil(SimTime t) override { queue_.RunUntil(t); }
-  SimTime now() const override { return queue_.now(); }
-  uint64_t executed() const override { return queue_.executed(); }
-
- private:
-  EventQueue queue_;
 };
 
 }  // namespace themis

@@ -110,8 +110,8 @@ class Network {
   /// flight across a re-balance boundary — scheduled on the shard that held
   /// its destination at send time — re-forwards itself to the destination's
   /// current shard instead of firing on the stale one (see
-  /// Engine::EnableElastic for the protocol). Call before the first send;
-  /// adds one wrapper per message, so it is opt-in.
+  /// ParallelEngine::EnableElastic for the protocol). Call before the first
+  /// send; adds one wrapper per message, so it is opt-in.
   void EnableElastic() { elastic_ = true; }
 
   /// Delivers `on_delivery` at the destination after the link latency.

@@ -7,7 +7,7 @@
 //
 // Like the scale scenario, this is pure data: the federation layer
 // (federation/churn_federation.h) replays the schedule through the Fsps
-// churn control plane (CrashNode / RestoreNode / SetLinkLatency) between
+// control plane (TopologyPlan Crash / Restore / SetLinkLatency) between
 // run segments. The generator enforces the invariants the runtime needs:
 // every cluster keeps a live majority through every wave (so orphaned
 // fragments always find a same-shard home), every emitted latency is

@@ -1,14 +1,15 @@
 // Federation-level checkpoint/recovery tests (ROADMAP item 4): crash-time
-// state semantics (kLegacyShared vs kReset vs kCheckpoint), capture riding
-// the shed tick, the byte-compat contract (enabling checkpoints perturbs
-// nothing while no restore happens; sequential == parsim@1 with the feature
-// on), and query-retirement hygiene — panes return to the BatchPool,
-// images leave every store, repeated deploy/undeploy cycles do not
-// accumulate allocations (the ASan job covers this file too).
+// state semantics (kReset, the default, vs kCheckpoint), capture riding the
+// shed tick, the byte-compat contract (enabling checkpoints perturbs
+// nothing while no restore happens; sharded runs with restores stay
+// deterministic), and query-retirement hygiene — panes return to the
+// BatchPool, images leave every store, repeated deploy/undeploy cycles do
+// not accumulate allocations (the ASan job covers this file too).
 #include <gtest/gtest.h>
 
 #include <map>
 #include <memory>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -38,16 +39,15 @@ constexpr SimDuration kWindow = Seconds(8);
 constexpr SimTime kCrashAt = Millis(5130);      // strictly mid-pane
 constexpr SimDuration kDrain = Millis(7870);    // to 13 s: pane released
 
-CrashRun RunCrashExperiment(CrashStateMode mode, bool checkpoints,
-                            double error_bound = 0.0,
-                            bool force_parsim = false) {
+// An unset `mode` keeps the default FspsOptions::crash_state.
+CrashRun RunCrashExperiment(std::optional<CrashStateMode> mode,
+                            bool checkpoints, double error_bound = 0.0) {
   FspsOptions opts;
   opts.seed = 77;
-  opts.crash_state = mode;
+  if (mode.has_value()) opts.crash_state = *mode;
   opts.checkpoint.enabled = checkpoints;
   opts.checkpoint.cadence = Millis(250);
   opts.checkpoint.error_bound = error_bound;
-  opts.force_parsim_engine = force_parsim;
   // Eq. 4 clamps to [0, 1] and this unshedded scenario pins it there; the
   // recorded per-result SIC mass is the unclamped probe of surviving state.
   opts.coordinator.record_results = true;
@@ -63,7 +63,7 @@ CrashRun RunCrashExperiment(CrashStateMode mode, bool checkpoints,
   EXPECT_TRUE(fsps.AttachSources(1, built.sources).ok());
 
   fsps.RunFor(kCrashAt);
-  EXPECT_TRUE(fsps.CrashNode(victim).ok());
+  EXPECT_TRUE(fsps.PlanTopology().Crash(victim).Apply().ok());
   fsps.RunFor(kDrain);
 
   CrashRun r;
@@ -79,24 +79,18 @@ CrashRun RunCrashExperiment(CrashStateMode mode, bool checkpoints,
   return r;
 }
 
-// Satellite 1: the legacy shared-graph artifact, pinned as explicit policy.
-// kLegacyShared lets the re-placed fragment inherit the crashed node's
-// window contents through the shared QueryGraph (crash-survival for free —
-// physically wrong, historically the only behaviour); kReset models an
-// actual cold standby, so the released pane carries strictly less SIC.
-TEST(CrashStateModeTest, LegacyInheritsStateResetLosesIt) {
-  CrashRun legacy =
-      RunCrashExperiment(CrashStateMode::kLegacyShared, /*checkpoints=*/false);
+// The default crash state is an actual cold standby: the re-placed
+// fragment does not inherit the crashed node's window contents through the
+// shared QueryGraph, so the released pane carries exactly the SIC mass of
+// an explicit kReset run.
+TEST(CrashStateModeTest, DefaultIsReset) {
+  CrashRun fallback = RunCrashExperiment(std::nullopt, /*checkpoints=*/false);
   CrashRun reset =
       RunCrashExperiment(CrashStateMode::kReset, /*checkpoints=*/false);
 
-  // Both runs survive the crash and deliver the released pane.
-  ASSERT_GT(legacy.result_tuples, 0u);
   ASSERT_GT(reset.result_tuples, 0u);
-  ASSERT_GT(reset.sic, 0.0);
-  ASSERT_GT(reset.result_sic_mass, 0.0);
-  // The inherited pane holds ~5 s of pre-crash tuples the reset run lost.
-  EXPECT_GT(legacy.result_sic_mass, reset.result_sic_mass);
+  EXPECT_EQ(fallback.result_sic_mass, reset.result_sic_mass);
+  EXPECT_EQ(fallback.result_tuples, reset.result_tuples);
 }
 
 // The tentpole: kCheckpoint restores the re-placed fragment from the
@@ -118,7 +112,11 @@ TEST(CrashStateModeTest, CheckpointRestoreRecoversMostOfTheLostState) {
   // ...and the images migrated to the new host's store with the fragment.
   EXPECT_GT(ckpt.survivor_images, 0u);
 
+  // Both runs survive the crash and deliver the released pane.
   ASSERT_GT(ckpt.result_tuples, 0u);
+  ASSERT_GT(reset.result_tuples, 0u);
+  ASSERT_GT(reset.sic, 0.0);
+  ASSERT_GT(reset.result_sic_mass, 0.0);
   EXPECT_GT(ckpt.result_sic_mass, reset.result_sic_mass);
 }
 
@@ -146,15 +144,15 @@ TEST(CrashStateModeTest, ApproximateModeSkipsRecapturesAndStillRestores) {
   ASSERT_GT(approx.result_tuples, 0u);
 }
 
-// Byte-compat contract half 1: with crash_state = kLegacyShared, turning
-// checkpoint capture ON must change nothing observable — capture does zero
-// simulated work and nothing ever restores, so every figure (SIC, result
-// count, node totals) is bit-identical to the checkpoint-off run.
+// Byte-compat contract: with crash_state = kReset, turning checkpoint
+// capture ON must change nothing observable — capture does zero simulated
+// work and nothing ever restores, so every figure (SIC, result count, node
+// totals) is bit-identical to the checkpoint-off run, crash included.
 TEST(CheckpointDeterminismTest, CaptureAloneIsByteIdenticalToOff) {
   CrashRun off =
-      RunCrashExperiment(CrashStateMode::kLegacyShared, /*checkpoints=*/false);
+      RunCrashExperiment(CrashStateMode::kReset, /*checkpoints=*/false);
   CrashRun on =
-      RunCrashExperiment(CrashStateMode::kLegacyShared, /*checkpoints=*/true);
+      RunCrashExperiment(CrashStateMode::kReset, /*checkpoints=*/true);
 
   // The on-run genuinely captured (this is not a vacuous comparison)...
   EXPECT_GT(on.crashed_store.taken, 0u);
@@ -167,29 +165,6 @@ TEST(CheckpointDeterminismTest, CaptureAloneIsByteIdenticalToOff) {
   EXPECT_EQ(on.result_sic_mass, off.result_sic_mass);
   EXPECT_EQ(on.node_totals.tuples_processed, off.node_totals.tuples_processed);
   EXPECT_EQ(on.node_totals.tuples_shed, off.node_totals.tuples_shed);
-}
-
-// Byte-compat contract half 2: sequential == parsim@1, bit for bit, with
-// capture AND restore on the hot path (crash_state = kCheckpoint).
-TEST(CheckpointDeterminismTest, SequentialMatchesParsimWithRestores) {
-  CrashRun seq = RunCrashExperiment(CrashStateMode::kCheckpoint,
-                                    /*checkpoints=*/true, /*error_bound=*/0.0,
-                                    /*force_parsim=*/false);
-  CrashRun par = RunCrashExperiment(CrashStateMode::kCheckpoint,
-                                    /*checkpoints=*/true, /*error_bound=*/0.0,
-                                    /*force_parsim=*/true);
-
-  ASSERT_GT(seq.crashed_store.restores, 0u);
-  ASSERT_EQ(par.all_sics.size(), seq.all_sics.size());
-  for (size_t i = 0; i < seq.all_sics.size(); ++i) {
-    EXPECT_EQ(par.all_sics[i], seq.all_sics[i]) << "query index " << i;
-  }
-  EXPECT_EQ(par.result_tuples, seq.result_tuples);
-  EXPECT_EQ(par.result_sic_mass, seq.result_sic_mass);
-  EXPECT_EQ(par.node_totals.tuples_processed, seq.node_totals.tuples_processed);
-  EXPECT_EQ(par.node_totals.tuples_shed, seq.node_totals.tuples_shed);
-  EXPECT_EQ(par.crashed_store.taken, seq.crashed_store.taken);
-  EXPECT_EQ(par.crashed_store.bytes_written, seq.crashed_store.bytes_written);
 }
 
 // Run-to-run bit-identity on the sharded engine with a checkpoint-restoring
@@ -219,7 +194,7 @@ TEST(CheckpointDeterminismTest, ShardedCrashRestoreIsRunToRunDeterministic) {
     EXPECT_TRUE(fsps.Deploy(std::move(built.graph), placement).ok());
     EXPECT_TRUE(fsps.AttachSources(1, built.sources).ok());
     fsps.RunFor(Millis(3370));
-    EXPECT_TRUE(fsps.CrashNode(nodes[3]).ok());
+    EXPECT_TRUE(fsps.PlanTopology().Crash(nodes[3]).Apply().ok());
     fsps.RunFor(Seconds(8));
     return std::make_pair(fsps.AllQuerySics(),
                           fsps.node(nodes[3])->checkpoint_store()->stats());

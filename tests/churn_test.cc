@@ -51,23 +51,25 @@ class ChurnTest : public ::testing::Test {
 };
 
 TEST_F(ChurnTest, CrashUnknownNodeIsNotFound) {
-  EXPECT_TRUE(fsps_->CrashNode(42).IsNotFound());
-  EXPECT_TRUE(fsps_->RestoreNode(42).IsNotFound());
+  EXPECT_TRUE(fsps_->PlanTopology().Crash(42).Apply().IsNotFound());
+  EXPECT_TRUE(fsps_->PlanTopology().Restore(42).Apply().IsNotFound());
 }
 
 TEST_F(ChurnTest, DoubleCrashAndDoubleRestoreAreRejected) {
-  ASSERT_TRUE(fsps_->CrashNode(node1_).ok());
-  EXPECT_TRUE(fsps_->CrashNode(node1_).IsFailedPrecondition());
-  ASSERT_TRUE(fsps_->RestoreNode(node1_).ok());
-  EXPECT_TRUE(fsps_->RestoreNode(node1_).IsFailedPrecondition());
+  ASSERT_TRUE(fsps_->PlanTopology().Crash(node1_).Apply().ok());
+  EXPECT_TRUE(
+      fsps_->PlanTopology().Crash(node1_).Apply().IsFailedPrecondition());
+  ASSERT_TRUE(fsps_->PlanTopology().Restore(node1_).Apply().ok());
+  EXPECT_TRUE(
+      fsps_->PlanTopology().Restore(node1_).Apply().IsFailedPrecondition());
 }
 
 TEST_F(ChurnTest, LiveNodeIdsExcludesCrashed) {
-  ASSERT_TRUE(fsps_->CrashNode(node0_).ok());
+  ASSERT_TRUE(fsps_->PlanTopology().Crash(node0_).Apply().ok());
   EXPECT_EQ(fsps_->live_node_ids(), (std::vector<NodeId>{node1_}));
   EXPECT_FALSE(fsps_->node_alive(node0_));
   EXPECT_TRUE(fsps_->node_alive(node1_));
-  ASSERT_TRUE(fsps_->RestoreNode(node0_).ok());
+  ASSERT_TRUE(fsps_->PlanTopology().Restore(node0_).Apply().ok());
   EXPECT_EQ(fsps_->live_node_ids().size(), 2u);
 }
 
@@ -76,7 +78,7 @@ TEST_F(ChurnTest, CrashWithInFlightBatchesReplacesAndDrains) {
   // Stop mid-interval so batches, shed timers and dissemination messages
   // are all strictly in flight towards node1 when it dies.
   fsps_->RunFor(Millis(5130));
-  ASSERT_TRUE(fsps_->CrashNode(node1_).ok());
+  ASSERT_TRUE(fsps_->PlanTopology().Crash(node1_).Apply().ok());
 
   // The orphaned fragment re-placed onto the only live node: the query
   // survives, co-located (the distinct-node guarantee yields to a 1-node
@@ -102,7 +104,7 @@ TEST_F(ChurnTest, CrashOfCoordinatorHomeMovesIt) {
   ASSERT_TRUE(DeployCov(1).ok());
   fsps_->RunFor(Millis(3370));
   NodeId home = fsps_->coordinator(1)->home();
-  ASSERT_TRUE(fsps_->CrashNode(home).ok());
+  ASSERT_TRUE(fsps_->PlanTopology().Crash(home).Apply().ok());
   NodeId survivor = home == node0_ ? node1_ : node0_;
   EXPECT_EQ(fsps_->coordinator(1)->home(), survivor);
   fsps_->RunFor(Seconds(10));
@@ -112,10 +114,10 @@ TEST_F(ChurnTest, CrashOfCoordinatorHomeMovesIt) {
 TEST_F(ChurnTest, CrashDropsQueryWhenNoLiveCandidates) {
   ASSERT_TRUE(DeployCov(1).ok());
   fsps_->RunFor(Millis(4210));
-  ASSERT_TRUE(fsps_->CrashNode(node0_).ok());
+  ASSERT_TRUE(fsps_->PlanTopology().Crash(node0_).Apply().ok());
   // node1 is the only live node left; crashing it strands the query with
   // no candidate host, forcing a departure.
-  ASSERT_TRUE(fsps_->CrashNode(node1_).ok());
+  ASSERT_TRUE(fsps_->PlanTopology().Crash(node1_).Apply().ok());
   EXPECT_TRUE(fsps_->query_ids().empty());
   EXPECT_EQ(fsps_->churn_stats().dropped_queries, 1u);
   // The wire drains quietly: no sources, no dissemination, no processing.
@@ -128,9 +130,9 @@ TEST_F(ChurnTest, CrashDropsQueryWhenNoLiveCandidates) {
 TEST_F(ChurnTest, RestoredNodeRejoinsEmptyAndHostsNewQueries) {
   ASSERT_TRUE(DeployCov(1).ok());
   fsps_->RunFor(Seconds(5));
-  ASSERT_TRUE(fsps_->CrashNode(node1_).ok());
+  ASSERT_TRUE(fsps_->PlanTopology().Crash(node1_).Apply().ok());
   fsps_->RunFor(Seconds(5));
-  ASSERT_TRUE(fsps_->RestoreNode(node1_).ok());
+  ASSERT_TRUE(fsps_->PlanTopology().Restore(node1_).Apply().ok());
   EXPECT_TRUE(fsps_->node(node1_)->HostedQueries().empty());
   // A fresh query can span both nodes again.
   ASSERT_TRUE(DeployCov(2).ok());
@@ -140,7 +142,7 @@ TEST_F(ChurnTest, RestoredNodeRejoinsEmptyAndHostsNewQueries) {
 }
 
 TEST_F(ChurnTest, DeployOnCrashedNodeIsRejected) {
-  ASSERT_TRUE(fsps_->CrashNode(node1_).ok());
+  ASSERT_TRUE(fsps_->PlanTopology().Crash(node1_).Apply().ok());
   ComplexQueryOptions co;
   co.fragments = 2;
   BuiltQuery built = factory_.MakeCov(3, co);
@@ -150,20 +152,23 @@ TEST_F(ChurnTest, DeployOnCrashedNodeIsRejected) {
 }
 
 TEST_F(ChurnTest, SetLinkLatencyValidates) {
-  Status self = fsps_->SetLinkLatency(node0_, node0_, Millis(5));
-  EXPECT_TRUE(self.IsInvalidArgument());
-  Status unknown = fsps_->SetLinkLatency(node0_, 99, Millis(5));
-  EXPECT_TRUE(unknown.IsInvalidArgument());
-  Status negative = fsps_->SetLinkLatency(node0_, node1_, -1);
-  EXPECT_TRUE(negative.IsInvalidArgument());
-  EXPECT_TRUE(fsps_->SetLinkLatency(node0_, node1_, Millis(5)).ok());
-  EXPECT_TRUE(fsps_->SetLinkLatency(kInvalidId, node1_, Millis(2)).ok());
+  auto set_link = [this](NodeId a, NodeId b, SimDuration latency) {
+    return fsps_->PlanTopology().SetLinkLatency(a, b, latency).Apply();
+  };
+  EXPECT_TRUE(set_link(node0_, node0_, Millis(5)).IsInvalidArgument());
+  EXPECT_TRUE(set_link(node0_, 99, Millis(5)).IsInvalidArgument());
+  EXPECT_TRUE(set_link(node0_, node1_, -1).IsInvalidArgument());
+  EXPECT_TRUE(set_link(node0_, node1_, Millis(5)).ok());
+  EXPECT_TRUE(set_link(kInvalidId, node1_, Millis(2)).ok());
 }
 
 TEST_F(ChurnTest, LinkEditDefersToNextRunBoundary) {
   ASSERT_TRUE(DeployCov(1).ok());
   fsps_->RunFor(Seconds(2));
-  ASSERT_TRUE(fsps_->SetLinkLatency(node0_, node1_, Millis(100)).ok());
+  ASSERT_TRUE(fsps_->PlanTopology()
+                  .SetLinkLatency(node0_, node1_, Millis(100))
+                  .Apply()
+                  .ok());
   // Queued, not applied: the wire still runs at the constructor default.
   EXPECT_EQ(fsps_->network()->Latency(node0_, node1_), Millis(800));
   fsps_->RunFor(Seconds(1));
@@ -198,23 +203,27 @@ TEST_F(ShardedChurnTest, LookaheadFollowsLinkDriftAndCrashes) {
   EXPECT_EQ(fsps_->engine()->lookahead(), Millis(20));
 
   // Drift the tight link tighter; the epoch narrows at the next boundary.
-  ASSERT_TRUE(fsps_->SetLinkLatency(1, 2, Millis(10)).ok());
+  ASSERT_TRUE(
+      fsps_->PlanTopology().SetLinkLatency(1, 2, Millis(10)).Apply().ok());
   fsps_->RunFor(Millis(100));
   EXPECT_EQ(fsps_->engine()->lookahead(), Millis(10));
 
   // Crash an endpoint of the tight link: its links carry no traffic, so
   // the epoch widens back to the 50 ms default.
-  ASSERT_TRUE(fsps_->CrashNode(2).ok());
+  ASSERT_TRUE(fsps_->PlanTopology().Crash(2).Apply().ok());
   fsps_->RunFor(Millis(100));
   EXPECT_EQ(fsps_->engine()->lookahead(), Millis(50));
 
   // Restore: the 10 ms link constrains the epoch again.
-  ASSERT_TRUE(fsps_->RestoreNode(2).ok());
+  ASSERT_TRUE(fsps_->PlanTopology().Restore(2).Apply().ok());
   fsps_->RunFor(Millis(100));
   EXPECT_EQ(fsps_->engine()->lookahead(), Millis(10));
 
   // Zero-latency edits are rejected on a sharded engine.
-  EXPECT_TRUE(fsps_->SetLinkLatency(1, 2, 0).IsInvalidArgument());
+  EXPECT_TRUE(fsps_->PlanTopology()
+                  .SetLinkLatency(1, 2, 0)
+                  .Apply()
+                  .IsInvalidArgument());
 }
 
 TEST_F(ShardedChurnTest, ReplacementStaysOnTheCrashedNodesShard) {
@@ -229,7 +238,7 @@ TEST_F(ShardedChurnTest, ReplacementStaysOnTheCrashedNodesShard) {
   ASSERT_TRUE(fsps_->AttachSources(1, built.sources).ok());
   fsps_->RunFor(Seconds(5));
 
-  ASSERT_TRUE(fsps_->CrashNode(nodes_[3]).ok());
+  ASSERT_TRUE(fsps_->PlanTopology().Crash(nodes_[3]).Apply().ok());
   // The orphan lands on node 2 — the only live shard-1 node — never on
   // shard 0 (source drivers and the coordinator are pinned to shard 1).
   EXPECT_EQ(fsps_->churn_stats().replaced_fragments, 1u);

@@ -10,18 +10,12 @@
 namespace themis {
 namespace {
 
-struct EngineChoice {
-  int shards = 1;
-  bool force_parsim = false;
-};
-
-std::vector<double> RunOnce(uint64_t seed, EngineChoice engine = {}) {
+std::vector<double> RunOnce(uint64_t seed, int shards = 1) {
   FspsOptions opts;
   opts.seed = seed;
   opts.node.cpu_speed = 0.005;  // overloaded: shedding decisions involved
-  opts.shards = engine.shards;
-  opts.force_parsim_engine = engine.force_parsim;
-  if (engine.shards > 1) {
+  opts.shards = shards;
+  if (shards > 1) {
     // A wider link keeps the epoch count modest for the multi-shard run;
     // multi-shard results are only compared against other multi-shard runs.
     opts.default_link_latency = Millis(50);
@@ -67,22 +61,11 @@ TEST(DeterminismTest, DifferentSeedDifferentOutcome) {
   EXPECT_TRUE(any_difference);
 }
 
-TEST(DeterminismTest, ParsimSingleShardMatchesSequentialEngine) {
-  // The parallel engine's single-shard fast path must be byte-identical to
-  // the sequential engine — same events, same order, same doubles.
-  auto seq = RunOnce(101);
-  auto par = RunOnce(101, {.shards = 1, .force_parsim = true});
-  ASSERT_EQ(seq.size(), par.size());
-  for (size_t i = 0; i < seq.size(); ++i) {
-    EXPECT_EQ(seq[i], par[i]) << "query " << i;
-  }
-}
-
 TEST(DeterminismTest, ParsimMultiShardIsDeterministic) {
   // Two shards, nodes split across them: repeated runs must agree exactly
   // (the conservative epoch merge is interleaving-independent).
-  auto a = RunOnce(101, {.shards = 2});
-  auto b = RunOnce(101, {.shards = 2});
+  auto a = RunOnce(101, /*shards=*/2);
+  auto b = RunOnce(101, /*shards=*/2);
   ASSERT_EQ(a.size(), b.size());
   for (size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a[i], b[i]) << "query " << i;
@@ -91,7 +74,7 @@ TEST(DeterminismTest, ParsimMultiShardIsDeterministic) {
 
 // One small churn run: crash waves, restores and link drift on a 16-node
 // federation, returning every deterministic aggregate.
-ChurnRunResult RunChurnOnce(uint64_t seed, EngineChoice engine = {}) {
+ChurnRunResult RunChurnOnce(uint64_t seed, int shards = 1) {
   ChurnScenarioOptions co;
   co.scale.nodes = 16;
   co.scale.clusters = 4;
@@ -102,8 +85,7 @@ ChurnRunResult RunChurnOnce(uint64_t seed, EngineChoice engine = {}) {
   co.churn_horizon = Seconds(16);
   ChurnScenario scenario = MakeChurnScenario(co);
   FspsOptions fo;
-  fo.shards = engine.shards;
-  fo.force_parsim_engine = engine.force_parsim;
+  fo.shards = shards;
   auto fsps = MakeChurnFederation(scenario, fo);
   return RunChurnScenario(fsps.get(), scenario, Seconds(5));
 }
@@ -128,20 +110,12 @@ TEST(DeterminismTest, ChurnRunIsSeedDeterministic) {
   ExpectChurnResultsEqual(RunChurnOnce(101), RunChurnOnce(101));
 }
 
-TEST(DeterminismTest, ChurnParsimSingleShardMatchesSequentialEngine) {
-  // The dynamic control plane (crash drains, re-placement, deferred link
-  // edits) must not open any divergence between the engines: same events,
-  // same order, same doubles.
-  EngineChoice parsim1{.shards = 1, .force_parsim = true};
-  ExpectChurnResultsEqual(RunChurnOnce(101), RunChurnOnce(101, parsim1));
-}
-
 TEST(DeterminismTest, ChurnParsimMultiShardIsDeterministic) {
   // Repeated multi-shard churn runs agree exactly: topology mutation lands
   // only at epoch boundaries, so the conservative merge stays
   // interleaving-independent through crash waves and lookahead changes.
-  ExpectChurnResultsEqual(RunChurnOnce(101, {.shards = 2}),
-                          RunChurnOnce(101, {.shards = 2}));
+  ExpectChurnResultsEqual(RunChurnOnce(101, /*shards=*/2),
+                          RunChurnOnce(101, /*shards=*/2));
 }
 
 TEST(DeterminismTest, WorkloadFactoryIsSeedStable) {

@@ -1,10 +1,10 @@
 // Elastic-federation tests: shard re-balancing mid-churn (entity migration
 // with traffic in flight), the TopologyPlan control plane's validate-then-
 // commit contract, mid-run AddNode on a started sharded engine, the
-// autoscaler loop, and the determinism contract across re-balances —
-// sequential == parsim@1 byte-for-byte, and bit-identical run-to-run at
-// every shard count. The ASan/TSan jobs cover this file: migration moves
-// live timer chains, inbox rings and pooled batches between shards.
+// autoscaler loop, and the determinism contract across re-balances:
+// bit-identical run-to-run at every shard count. The ASan/TSan jobs cover
+// this file: migration moves live timer chains, inbox rings and pooled
+// batches between shards.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -241,27 +241,18 @@ std::string Digest(const ElasticRunResult& r) {
   return out;
 }
 
-ElasticRunResult RunOnce(const ElasticScenario& scenario, int shards,
-                         bool force_parsim) {
+ElasticRunResult RunOnce(const ElasticScenario& scenario, int shards) {
   FspsOptions fo;
   fo.shards = shards;
-  fo.force_parsim_engine = force_parsim;
   auto fsps = MakeElasticFederation(scenario, fo);
   return RunElasticScenario(fsps.get(), scenario, Seconds(5));
-}
-
-TEST(ElasticScenarioTest, SequentialMatchesParsimAtOneShardAcrossRebalance) {
-  ElasticScenario scenario = MakeElasticScenario(SmallElasticOptions());
-  ElasticRunResult seq = RunOnce(scenario, 1, false);
-  ElasticRunResult par = RunOnce(scenario, 1, true);
-  EXPECT_EQ(Digest(seq), Digest(par));
 }
 
 TEST(ElasticScenarioTest, RunToRunDigestIdentityAtEveryShardCount) {
   ElasticScenario scenario = MakeElasticScenario(SmallElasticOptions());
   for (int shards : {1, 4, 8}) {
-    ElasticRunResult a = RunOnce(scenario, shards, false);
-    ElasticRunResult b = RunOnce(scenario, shards, false);
+    ElasticRunResult a = RunOnce(scenario, shards);
+    ElasticRunResult b = RunOnce(scenario, shards);
     EXPECT_EQ(Digest(a), Digest(b)) << "shards=" << shards;
     if (shards > 1) {
       EXPECT_GT(a.rebalances, 0u) << "shards=" << shards;
@@ -275,7 +266,7 @@ TEST(ElasticScenarioTest, AutoscalerTracksLoad) {
   // the loop must grow the federation; diurnal troughs and the burst gaps
   // pull utilization back down, so hysteresis must gate the actions.
   ElasticScenario scenario = MakeElasticScenario(SmallElasticOptions());
-  ElasticRunResult r = RunOnce(scenario, 4, false);
+  ElasticRunResult r = RunOnce(scenario, 4);
   EXPECT_GT(r.autoscaler.ticks, 0u);
   EXPECT_GT(r.autoscaler.grow_actions, 0u);
   EXPECT_GT(r.nodes_added, 0u);

@@ -1,5 +1,5 @@
-// Tests for the conservative parallel engine (themis_parsim): single-shard
-// byte-identity with the sequential engine, cross-shard delivery through
+// Tests for the conservative parallel engine (themis_parsim): the one-shard
+// path every single-shard federation runs on, cross-shard delivery through
 // the epoch barriers, and the deterministic (deliver_time, from_shard,
 // ring_seq) merge order.
 #include <gtest/gtest.h>
@@ -18,28 +18,51 @@ namespace {
 // Execution trace entry: (simulated time, event tag).
 using Trace = std::vector<std::pair<SimTime, int>>;
 
-void ScheduleMixedEvents(Engine* engine, Trace* trace) {
-  EventQueue* q = engine->queue(0);
-  for (int i = 0; i < 5; ++i) {
-    q->ScheduleAfter(Millis(10 * (5 - i)),
-                     [trace, q, i] { trace->push_back({q->now(), i}); });
-  }
-  // Equal-time ties must stay FIFO.
-  q->Schedule(Millis(30), [trace, q] { trace->push_back({q->now(), 100}); });
-  q->Schedule(Millis(30), [trace, q] { trace->push_back({q->now(), 101}); });
+TEST(ParallelEngineTest, SingleShardWrapsOneQueue) {
+  ParallelEngine engine(1);
+  ASSERT_EQ(engine.num_shards(), 1);
+  int fired = 0;
+  engine.queue(0)->Schedule(Millis(10), [&] { ++fired; });
+  engine.queue(0)->Schedule(Millis(30), [&] { ++fired; });
+  engine.RunUntil(Millis(20));
+  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(engine.now(), Millis(20));
+  EXPECT_EQ(engine.executed(), 1u);
 }
 
-TEST(ParallelEngineTest, SingleShardMatchesSequentialEngine) {
-  SequentialEngine seq;
-  ParallelEngine par(1);
-  Trace seq_trace, par_trace;
-  ScheduleMixedEvents(&seq, &seq_trace);
-  ScheduleMixedEvents(&par, &par_trace);
-  seq.RunUntil(Millis(60));
-  par.RunUntil(Millis(60));
-  EXPECT_EQ(seq_trace, par_trace);
-  EXPECT_EQ(seq.now(), par.now());
-  EXPECT_EQ(seq.executed(), par.executed());
+TEST(ParallelEngineTest, SingleShardRunsEventsInTimeThenFifoOrder) {
+  ParallelEngine engine(1);
+  EventQueue* q = engine.queue(0);
+  Trace trace;
+  // Tags 0..4 land at 50, 40, 30, 20 and 10 ms.
+  for (int i = 0; i < 5; ++i) {
+    q->ScheduleAfter(Millis(10 * (5 - i)),
+                     [&trace, q, i] { trace.push_back({q->now(), i}); });
+  }
+  // Two more events at 30 ms, after tag 2: equal-time ties stay FIFO.
+  q->Schedule(Millis(30), [&trace, q] { trace.push_back({q->now(), 100}); });
+  q->Schedule(Millis(30), [&trace, q] { trace.push_back({q->now(), 101}); });
+
+  // The target is inclusive: all three 30 ms events run.
+  engine.RunUntil(Millis(30));
+  EXPECT_EQ(trace, (Trace{{Millis(10), 4},
+                          {Millis(20), 3},
+                          {Millis(30), 2},
+                          {Millis(30), 100},
+                          {Millis(30), 101}}));
+  EXPECT_EQ(engine.now(), Millis(30));
+  EXPECT_EQ(engine.executed(), 5u);
+
+  engine.RunUntil(Millis(60));
+  EXPECT_EQ(trace, (Trace{{Millis(10), 4},
+                          {Millis(20), 3},
+                          {Millis(30), 2},
+                          {Millis(30), 100},
+                          {Millis(30), 101},
+                          {Millis(40), 1},
+                          {Millis(50), 0}}));
+  EXPECT_EQ(engine.now(), Millis(60));
+  EXPECT_EQ(engine.executed(), 7u);
 }
 
 TEST(ParallelEngineTest, ShardsAdvanceTogetherWithoutCrossTraffic) {
@@ -188,8 +211,8 @@ TEST(ParallelEngineTest, DeliveryAtExactRunUntilTarget) {
   // Regression test: a send at exactly the run's start time over a link
   // whose latency equals the lookahead delivers at the first epoch's own
   // end. The zero-width boundary epoch merges it before the destination
-  // runs past that time — matching SequentialEngine, which executes events
-  // at an inclusive RunUntil target.
+  // runs past that time — matching the one-shard path, which executes
+  // events at an inclusive RunUntil target.
   TwoShardNet f;
   SimTime delivered_at = -1;
   f.engine.queue(0)->Schedule(0, [&] {

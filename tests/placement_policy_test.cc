@@ -1,5 +1,5 @@
 // Orphan re-placement policy tests (federation/placement.h +
-// Fsps::CrashNode): the pure ChooseLeastLoaded chooser, the SIC-aware
+// TopologyPlan::Crash): the pure ChooseLeastLoaded chooser, the SIC-aware
 // policy's picks on a hand-built overload scenario, the pin that the
 // default kRoundRobin policy reproduces PR 4's cursor behaviour (and that
 // the seed-42 Zipf deploy placement bytes are untouched by the new knob),
@@ -75,7 +75,7 @@ bool Hosts(Fsps* fsps, NodeId node, QueryId q) {
 
 TEST(ReplacementPolicyTest, SicAwarePicksTheIdleNode) {
   auto fsps = BuildOverloadFederation(ReplacementPolicy::kSicAware);
-  ASSERT_TRUE(fsps->CrashNode(1).ok());
+  ASSERT_TRUE(fsps->PlanTopology().Crash(1).Apply().ok());
   EXPECT_EQ(fsps->churn_stats().replaced_fragments, 1u);
   EXPECT_TRUE(Hosts(fsps.get(), 3, 1));   // idle node won
   EXPECT_FALSE(Hosts(fsps.get(), 2, 1));  // busy node skipped
@@ -86,7 +86,7 @@ TEST(ReplacementPolicyTest, SicAwarePicksTheIdleNode) {
 
 TEST(ReplacementPolicyTest, RoundRobinCursorReproducesPr4Pick) {
   auto fsps = BuildOverloadFederation(ReplacementPolicy::kRoundRobin);
-  ASSERT_TRUE(fsps->CrashNode(1).ok());
+  ASSERT_TRUE(fsps->PlanTopology().Crash(1).Apply().ok());
   // PR 4 cursor semantics, pinned: candidates are the live nodes {0, 2, 3}
   // in ascending order, the cursor starts at 0, node 0 is occupied by the
   // surviving fragment, so the first free candidate is node 2 — blind to
@@ -142,9 +142,9 @@ TEST(ReplacementPolicyTest, ForceUndeployWhenNoLiveCandidateBothPolicies) {
     ASSERT_TRUE(fsps.AttachSources(1, built.sources).ok());
     fsps.RunFor(Seconds(3));
 
-    ASSERT_TRUE(fsps.CrashNode(0).ok());
+    ASSERT_TRUE(fsps.PlanTopology().Crash(0).Apply().ok());
     EXPECT_EQ(fsps.query_ids(), (std::vector<QueryId>{1}));
-    ASSERT_TRUE(fsps.CrashNode(1).ok());
+    ASSERT_TRUE(fsps.PlanTopology().Crash(1).Apply().ok());
     // No live candidate anywhere: the query departs under either policy.
     EXPECT_TRUE(fsps.query_ids().empty())
         << ReplacementPolicyName(policy);

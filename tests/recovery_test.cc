@@ -8,7 +8,7 @@
 //     hosted on at least one live node,
 //   * the recovery tracker's clocks are monotone,
 // and that the tracker's serialized output is bit-identical run-to-run at
-// shards = 1 (sequential AND the parsim fast path) and at shards = 4.
+// shards = 1 and at shards = 4.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -108,12 +108,10 @@ void CheckInvariants(Fsps* fsps, SimTime* last_sample_seen) {
   }
 }
 
-RunDigest RunRandomFaultInjection(uint64_t seed, int shards,
-                                  bool force_parsim) {
+RunDigest RunRandomFaultInjection(uint64_t seed, int shards) {
   FspsOptions opts;
   opts.seed = seed;
   opts.shards = shards;
-  opts.force_parsim_engine = force_parsim;
   opts.default_link_latency = Millis(40);
   opts.source_link_latency = Millis(10);
   opts.node.cpu_speed = 0.005;  // overloaded: shedding decisions involved
@@ -157,7 +155,7 @@ RunDigest RunRandomFaultInjection(uint64_t seed, int shards,
         if (live.size() <= 2) break;
         NodeId victim = live[rng.UniformInt(
             0, static_cast<int64_t>(live.size()) - 1)];
-        EXPECT_TRUE(fsps.CrashNode(victim).ok());
+        EXPECT_TRUE(fsps.PlanTopology().Crash(victim).Apply().ok());
         break;
       }
       case 1: {  // restore a crashed node
@@ -166,7 +164,7 @@ RunDigest RunRandomFaultInjection(uint64_t seed, int shards,
         std::set<NodeId> alive(live.begin(), live.end());
         for (NodeId id = 0; id < kNodes; ++id) {
           if (alive.count(id) == 0) {
-            EXPECT_TRUE(fsps.RestoreNode(id).ok());
+            EXPECT_TRUE(fsps.PlanTopology().Restore(id).Apply().ok());
             break;
           }
         }
@@ -176,8 +174,10 @@ RunDigest RunRandomFaultInjection(uint64_t seed, int shards,
         NodeId a = static_cast<NodeId>(rng.UniformInt(0, kNodes - 1));
         NodeId b = static_cast<NodeId>(rng.UniformInt(0, kNodes - 1));
         if (a == b) break;
-        EXPECT_TRUE(
-            fsps.SetLinkLatency(a, b, Millis(rng.UniformInt(5, 120))).ok());
+        EXPECT_TRUE(fsps.PlanTopology()
+                        .SetLinkLatency(a, b, Millis(rng.UniformInt(5, 120)))
+                        .Apply()
+                        .ok());
         break;
       }
       default:  // quiet segment
@@ -204,13 +204,9 @@ RunDigest RunRandomFaultInjection(uint64_t seed, int shards,
 TEST(RecoveryPropertyTest, InvariantsAndDeterminismSequential) {
   for (int i = 0; i < kSeeds; ++i) {
     uint64_t seed = DeriveSeed(i);
-    RunDigest a = RunRandomFaultInjection(seed, 1, false);
-    RunDigest b = RunRandomFaultInjection(seed, 1, false);
+    RunDigest a = RunRandomFaultInjection(seed, 1);
+    RunDigest b = RunRandomFaultInjection(seed, 1);
     ExpectDigestsEqual(a, b, "run-to-run at shards=1");
-    // The parallel engine's single-shard fast path must be byte-identical
-    // to the sequential engine, recovery sampling included.
-    RunDigest c = RunRandomFaultInjection(seed, 1, true);
-    ExpectDigestsEqual(a, c, "sequential vs parsim@1");
     if (HasFailure()) {
       ADD_FAILURE() << "failing seed " << seed << " (index " << i << ")";
       break;
@@ -221,8 +217,8 @@ TEST(RecoveryPropertyTest, InvariantsAndDeterminismSequential) {
 TEST(RecoveryPropertyTest, InvariantsAndDeterminismSharded) {
   for (int i = 0; i < kSeeds; ++i) {
     uint64_t seed = DeriveSeed(i);
-    RunDigest a = RunRandomFaultInjection(seed, 4, false);
-    RunDigest b = RunRandomFaultInjection(seed, 4, false);
+    RunDigest a = RunRandomFaultInjection(seed, 4);
+    RunDigest b = RunRandomFaultInjection(seed, 4);
     ExpectDigestsEqual(a, b, "run-to-run at shards=4");
     if (HasFailure()) {
       ADD_FAILURE() << "failing seed " << seed << " (index " << i << ")";

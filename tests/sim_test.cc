@@ -224,17 +224,5 @@ TEST(ShardPlanTest, ShardOfDefaultsToZero) {
   EXPECT_EQ(plan.ShardOf(99), 0);
 }
 
-TEST(SequentialEngineTest, WrapsSingleQueue) {
-  SequentialEngine engine;
-  ASSERT_EQ(engine.num_shards(), 1);
-  int fired = 0;
-  engine.queue(0)->Schedule(Millis(10), [&] { ++fired; });
-  engine.queue(0)->Schedule(Millis(30), [&] { ++fired; });
-  engine.RunUntil(Millis(20));
-  EXPECT_EQ(fired, 1);
-  EXPECT_EQ(engine.now(), Millis(20));
-  EXPECT_EQ(engine.executed(), 1u);
-}
-
 }  // namespace
 }  // namespace themis
