@@ -20,8 +20,6 @@
 // Flags (besides the PerfRecorder ones): --shards N, --nodes N,
 // --queries N.
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <map>
 #include <string>
 #include <vector>
@@ -31,17 +29,6 @@
 #include "metrics/recovery_tracker.h"
 #include "metrics/reporter.h"
 
-namespace {
-
-int FlagValue(int argc, char** argv, const char* flag, int fallback) {
-  for (int i = 0; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], flag) == 0) return std::atoi(argv[i + 1]);
-  }
-  return fallback;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   using namespace themis;
   using namespace themis::bench;
@@ -50,9 +37,9 @@ int main(int argc, char** argv) {
               "cadence/error-bound under churn, wide (8 s) windows.\n");
 
   ChurnScenarioOptions co;
-  co.scale.nodes = FlagValue(argc, argv, "--nodes", 32);
+  co.scale.nodes = IntFlag(argc, argv, "--nodes", 32);
   co.scale.clusters = 4;
-  co.scale.queries = FlagValue(argc, argv, "--queries", 48);
+  co.scale.queries = IntFlag(argc, argv, "--queries", 48);
   co.scale.arrival_wave = 12;
   co.scale.source_rate = 150.0;
   // The point of the exercise: windows much longer than the checkpoint
@@ -68,11 +55,11 @@ int main(int argc, char** argv) {
   co.churn_horizon = Seconds(30);
   SimDuration measure = Seconds(12);
   if (perf.quick()) {
-    co.scale.queries = FlagValue(argc, argv, "--queries", 32);
+    co.scale.queries = IntFlag(argc, argv, "--queries", 32);
     co.crash_waves = 2;
     co.churn_horizon = Seconds(26);
   }
-  const int parallel_shards = FlagValue(argc, argv, "--shards", 4);
+  const int parallel_shards = IntFlag(argc, argv, "--shards", 4);
   ChurnScenario scenario = MakeChurnScenario(co);
 
   Reporter reporter(

@@ -19,25 +19,12 @@
 // Flags (besides the PerfRecorder ones): --shards N, --nodes N,
 // --queries N.
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
 #include "bench/perf.h"
 #include "federation/churn_federation.h"
 #include "metrics/reporter.h"
-
-namespace {
-
-int FlagValue(int argc, char** argv, const char* flag, int fallback) {
-  for (int i = 0; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], flag) == 0) return std::atoi(argv[i + 1]);
-  }
-  return fallback;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   using namespace themis;
@@ -47,17 +34,17 @@ int main(int argc, char** argv) {
               "dynamic runtime, per shard count.\n");
 
   ChurnScenarioOptions co;
-  co.scale.nodes = FlagValue(argc, argv, "--nodes", 64);
-  co.scale.queries = FlagValue(argc, argv, "--queries", 96);
+  co.scale.nodes = IntFlag(argc, argv, "--nodes", 64);
+  co.scale.queries = IntFlag(argc, argv, "--queries", 96);
   co.scale.source_rate = 150.0;
   SimDuration measure = Seconds(10);
   if (perf.quick()) {
-    co.scale.queries = FlagValue(argc, argv, "--queries", 64);
+    co.scale.queries = IntFlag(argc, argv, "--queries", 64);
     co.crash_waves = 2;
     co.churn_horizon = Seconds(16);
     measure = Seconds(6);
   }
-  const int parallel_shards = FlagValue(argc, argv, "--shards", 4);
+  const int parallel_shards = IntFlag(argc, argv, "--shards", 4);
   ChurnScenario scenario = MakeChurnScenario(co);
 
   Reporter reporter(

@@ -20,25 +20,12 @@
 // Flags (besides the PerfRecorder ones): --shards N, --nodes N,
 // --queries N.
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
 #include "bench/perf.h"
 #include "federation/elastic_federation.h"
 #include "metrics/reporter.h"
-
-namespace {
-
-int FlagValue(int argc, char** argv, const char* flag, int fallback) {
-  for (int i = 0; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], flag) == 0) return std::atoi(argv[i + 1]);
-  }
-  return fallback;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   using namespace themis;
@@ -47,33 +34,35 @@ int main(int argc, char** argv) {
   std::printf("Elastic federation run: autoscaler + shard re-balancing over "
               "churn with diurnal + burst load, per shard count.\n");
 
-  ElasticScenarioOptions eo;
-  eo.churn.scale.nodes = FlagValue(argc, argv, "--nodes", 64);
-  eo.churn.scale.queries = FlagValue(argc, argv, "--queries", 96);
-  eo.churn.scale.source_rate = 150.0;
+  ChurnScenarioOptions co;
+  co.scale.nodes = IntFlag(argc, argv, "--nodes", 64);
+  co.scale.queries = IntFlag(argc, argv, "--queries", 96);
+  co.scale.source_rate = 150.0;
   // Size the base federation so the diurnal + burst swing crosses BOTH
   // autoscaler thresholds per period: the loop has to grow into the peaks
   // and give capacity back in the troughs, not ratchet one way.
-  eo.churn.scale.overload_factor = 0.4;
-  eo.diurnal_amplitude = 0.8;
-  eo.diurnal_period = Seconds(32);
-  eo.autoscaler.shrink_utilization = 0.7;
-  eo.autoscaler.max_added_nodes = 16;
+  co.scale.overload_factor = 0.4;
+  co.scale.burst_prob = 0.10;  // 10x spikes (burst_multiplier's default)
+  co.scale.diurnal_amplitude = 0.8;
+  co.scale.diurnal_period = Seconds(32);
+  AutoscalerOptions ao;
+  ao.shrink_utilization = 0.7;
+  ao.max_added_nodes = 16;
   SimDuration measure = Seconds(10);
   if (perf.quick()) {
-    eo.churn.scale.queries = FlagValue(argc, argv, "--queries", 64);
-    eo.churn.crash_waves = 2;
-    eo.churn.churn_horizon = Seconds(16);
-    eo.autoscaler.max_added_nodes = 8;
+    co.scale.queries = IntFlag(argc, argv, "--queries", 64);
+    co.crash_waves = 2;
+    co.churn_horizon = Seconds(16);
+    ao.max_added_nodes = 8;
     measure = Seconds(6);
   }
-  const int parallel_shards = FlagValue(argc, argv, "--shards", 4);
-  ElasticScenario scenario = MakeElasticScenario(eo);
+  const int parallel_shards = IntFlag(argc, argv, "--shards", 4);
+  ChurnScenario scenario = MakeChurnScenario(co);
 
   Reporter reporter(
-      "Elastic federation (" + std::to_string(eo.churn.scale.nodes) +
-          " nodes, " + std::to_string(eo.churn.scale.queries) + " queries, " +
-          std::to_string(scenario.churn.events.size()) + " topology events)",
+      "Elastic federation (" + std::to_string(co.scale.nodes) + " nodes, " +
+          std::to_string(co.scale.queries) + " queries, " +
+          std::to_string(scenario.events.size()) + " topology events)",
       {"engine", "processed", "shed", "added", "rebal", "migr", "live",
        "mean_SIC", "jain"});
 
@@ -86,7 +75,7 @@ int main(int argc, char** argv) {
     fo.shards = shards;
     auto fsps = MakeElasticFederation(scenario, fo);
     perf.BeginRun(name);
-    ElasticRunResult r = RunElasticScenario(fsps.get(), scenario, measure);
+    ElasticRunResult r = RunElasticScenario(fsps.get(), scenario, ao, measure);
     perf.EndRun(r.churn.scale.tuples_processed);
     perf.AddMetric("nodes_added", static_cast<double>(r.nodes_added));
     perf.AddMetric("rebalances", static_cast<double>(r.rebalances));

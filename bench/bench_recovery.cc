@@ -19,8 +19,6 @@
 // Flags (besides the PerfRecorder ones): --shards N, --nodes N,
 // --queries N.
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -28,17 +26,6 @@
 #include "federation/churn_federation.h"
 #include "metrics/recovery_tracker.h"
 #include "metrics/reporter.h"
-
-namespace {
-
-int FlagValue(int argc, char** argv, const char* flag, int fallback) {
-  for (int i = 0; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], flag) == 0) return std::atoi(argv[i + 1]);
-  }
-  return fallback;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   using namespace themis;
@@ -48,8 +35,8 @@ int main(int argc, char** argv) {
               "dip/MTTR tracking, per re-placement policy.\n");
 
   ChurnScenarioOptions co;
-  co.scale.nodes = FlagValue(argc, argv, "--nodes", 64);
-  co.scale.queries = FlagValue(argc, argv, "--queries", 96);
+  co.scale.nodes = IntFlag(argc, argv, "--nodes", 64);
+  co.scale.queries = IntFlag(argc, argv, "--queries", 96);
   co.scale.source_rate = 150.0;
   // Deep waves: an eighth of the federation fails at once (the cluster-
   // majority invariant still holds), so the survivors lose real capacity
@@ -64,14 +51,17 @@ int main(int argc, char** argv) {
   co.downtime = Seconds(3);
   co.churn_start = Seconds(18);
   co.churn_horizon = Seconds(33);
+  // §7.4 bursts: any given second runs at 10x (burst_multiplier's default)
+  // with probability 0.10.
+  co.scale.burst_prob = 0.10;
   SimDuration measure = Seconds(15);
   if (perf.quick()) {
-    co.scale.queries = FlagValue(argc, argv, "--queries", 64);
+    co.scale.queries = IntFlag(argc, argv, "--queries", 64);
     co.crash_waves = 2;
     co.churn_horizon = Seconds(28);
   }
-  const int parallel_shards = FlagValue(argc, argv, "--shards", 4);
-  ChurnScenario scenario = MakeChurnBurstScenario(co);
+  const int parallel_shards = IntFlag(argc, argv, "--shards", 4);
+  ChurnScenario scenario = MakeChurnScenario(co);
 
   Reporter reporter(
       "Recovery under churn + burst (" + std::to_string(co.scale.nodes) +

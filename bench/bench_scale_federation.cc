@@ -16,7 +16,6 @@
 // Flags (besides the PerfRecorder ones): --shards N, --nodes N,
 // --queries N.
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -24,17 +23,6 @@
 #include "bench/perf.h"
 #include "federation/scale_federation.h"
 #include "metrics/reporter.h"
-
-namespace {
-
-int FlagValue(int argc, char** argv, const char* flag, int fallback) {
-  for (int i = 0; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], flag) == 0) return std::atoi(argv[i + 1]);
-  }
-  return fallback;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   using namespace themis;
@@ -44,18 +32,18 @@ int main(int argc, char** argv) {
               "shard vs N shards.\n");
 
   ScaleScenarioOptions so;
-  so.nodes = FlagValue(argc, argv, "--nodes", 64);
-  so.queries = FlagValue(argc, argv, "--queries", 96);
+  so.nodes = IntFlag(argc, argv, "--nodes", 64);
+  so.queries = IntFlag(argc, argv, "--queries", 96);
   // Heavier batches than the scenario default: more data-plane work per
   // epoch makes the parallel-efficiency measurement robust against barrier
   // overhead (and matches Table 2's higher-rate test-beds).
   so.source_rate = 150.0;
   SimDuration measure = Seconds(20);
   if (perf.quick()) {
-    so.queries = FlagValue(argc, argv, "--queries", 64);
+    so.queries = IntFlag(argc, argv, "--queries", 64);
     measure = Seconds(10);
   }
-  const int parallel_shards = FlagValue(argc, argv, "--shards", 4);
+  const int parallel_shards = IntFlag(argc, argv, "--shards", 4);
   // Columnar data plane. Every figure this bench prints is simulated-domain
   // state, so the output must be byte-identical with the flag on or off —
   // CI diffs the two invocations to pin the columnar/row parity end-to-end.

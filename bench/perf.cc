@@ -248,5 +248,12 @@ PerfRecorder::~PerfRecorder() {
   out << "]\n";
 }
 
+int IntFlag(int argc, char** argv, const char* flag, int fallback) {
+  for (int i = 0; i + 1 < argc; ++i) {
+    if (std::strcmp(argv[i], flag) == 0) return std::atoi(argv[i + 1]);
+  }
+  return fallback;
+}
+
 }  // namespace bench
 }  // namespace themis

@@ -101,6 +101,10 @@ class PerfRecorder {
   uint64_t run_start_allocs_ = 0;
 };
 
+/// Value of the integer flag `flag N` in argv (atoi of the next argument),
+/// or `fallback` when the flag is absent.
+int IntFlag(int argc, char** argv, const char* flag, int fallback);
+
 }  // namespace bench
 }  // namespace themis
 

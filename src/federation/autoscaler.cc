@@ -21,7 +21,7 @@ Autoscaler::Autoscaler(Fsps* fsps, const ScaleScenario& scenario,
   THEMIS_CHECK(stw_ > 0);
 }
 
-double Autoscaler::Utilization(SimTime now) {
+double Autoscaler::Utilization(SimTime now) const {
   // Offered busy-microseconds over the trailing STW, against the live
   // capacity over the same window (each node contributes stw_ microseconds
   // of processing time; cpu_speed is already folded into OfferedLoadUs).

@@ -25,6 +25,9 @@ namespace themis {
 /// Control-loop knobs; the elastic bench tunes the thresholds so its
 /// diurnal + burst load swings through both per diurnal period.
 struct AutoscalerOptions {
+  /// First tick of a replayed run (ReplayScenario); leaves ramp-up time
+  /// for rate estimation.
+  SimTime first_tick = Seconds(4);
   /// Decision cadence; ticks run between RunFor segments.
   SimDuration tick_interval = Seconds(2);
   /// Grow when utilization (offered busy-time / live capacity over the
@@ -75,7 +78,11 @@ class Autoscaler {
   /// signal, updates hysteresis, and commits at most one TopologyPlan.
   Status Tick();
 
+  const AutoscalerOptions& options() const { return options_; }
   const AutoscalerStats& stats() const { return stats_; }
+  /// Offered busy-time of live nodes / their capacity, over the STW (0
+  /// with no live node) — the signal Tick() judges.
+  double Utilization(SimTime now) const;
   /// Utilization the last Tick() observed.
   double last_utilization() const { return last_utilization_; }
   /// Cluster of every node, base + autoscaler-added (the re-balance group
@@ -83,8 +90,6 @@ class Autoscaler {
   const std::vector<int>& cluster_of_node() const { return cluster_of_node_; }
 
  private:
-  /// Offered busy-time of live nodes / their capacity, over the STW.
-  double Utilization(SimTime now);
   /// Cluster with the highest live offered load (joins go where demand is).
   int BusiestCluster(SimTime now);
   /// Max-shard-load / mean-shard-load (1 when balanced; 0 when idle).

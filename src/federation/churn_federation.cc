@@ -2,8 +2,6 @@
 
 #include <utility>
 
-#include "common/logging.h"
-
 namespace themis {
 
 std::unique_ptr<Fsps> MakeChurnFederation(const ChurnScenario& scenario,
@@ -13,76 +11,7 @@ std::unique_ptr<Fsps> MakeChurnFederation(const ChurnScenario& scenario,
 
 ChurnRunResult RunChurnScenario(Fsps* fsps, const ChurnScenario& scenario,
                                 SimDuration measure) {
-  ScaleDeployer deployer(fsps, scenario.base);
-
-  // Two sorted streams — query arrivals and topology events — replayed in
-  // timestamp order; events win ties so a query arriving at a crash
-  // instant deploys onto the post-crash topology instead of landing on
-  // the victim and immediately re-placing. Same-timestamp events batch
-  // into one TopologyPlan: the schedule generator emits waves, and a wave
-  // is one atomic transition.
-  size_t next_query = 0;
-  size_t next_event = 0;
-  const auto& queries = scenario.base.queries;
-  const auto& events = scenario.events;
-
-  while (next_query < queries.size() || next_event < events.size()) {
-    bool take_query =
-        next_event >= events.size() ||
-        (next_query < queries.size() &&
-         queries[next_query].arrival < events[next_event].time);
-    SimTime at = take_query ? queries[next_query].arrival
-                            : events[next_event].time;
-    if (at > fsps->now()) fsps->RunFor(at - fsps->now());
-
-    if (take_query) {
-      deployer.DeployQuery(queries[next_query]);
-      ++next_query;
-      continue;
-    }
-    TopologyPlan plan = fsps->PlanTopology();
-    uint64_t crashes = 0;
-    uint64_t restores = 0;
-    uint64_t link_updates = 0;
-    while (next_event < events.size() && events[next_event].time == at) {
-      const ChurnEvent& ev = events[next_event];
-      ++next_event;
-      switch (ev.kind) {
-        case ChurnEventKind::kCrash:
-          plan.Crash(ev.a);
-          ++crashes;
-          break;
-        case ChurnEventKind::kRestore:
-          plan.Restore(ev.a);
-          ++restores;
-          break;
-        case ChurnEventKind::kSetLinkLatency:
-          plan.SetLinkLatency(ev.a, ev.b, ev.latency);
-          ++link_updates;
-          break;
-      }
-    }
-    THEMIS_LOG(Info) << "churn wave t_us=" << at << " crashes=" << crashes
-                     << " restores=" << restores
-                     << " link_updates=" << link_updates
-                     << " plan_ops=" << plan.size();
-    THEMIS_CHECK(plan.Apply().ok());
-  }
-  fsps->RunFor(measure);
-
-  ChurnRunResult result;
-  result.scale = CollectScaleResult(fsps);
-  const FspsChurnStats& churn = fsps->churn_stats();
-  result.crashes = churn.crashes;
-  result.restores = churn.restores;
-  result.latency_updates = churn.latency_updates;
-  result.replaced_fragments = churn.replaced_fragments;
-  result.dropped_queries = churn.dropped_queries;
-  result.skipped_arrivals = deployer.skipped_arrivals();
-  NodeStats stats = fsps->TotalNodeStats();
-  result.batches_dropped_dead = stats.batches_dropped_dead;
-  result.tuples_dropped_dead = stats.tuples_dropped_dead;
-  return result;
+  return ReplayScenario(fsps, scenario.base, scenario.events, measure);
 }
 
 }  // namespace themis

@@ -1,135 +1,33 @@
 #include "federation/elastic_federation.h"
 
-#include <algorithm>
-#include <cstdint>
 #include <utility>
-
-#include "common/logging.h"
 
 namespace themis {
 
-ElasticScenario MakeElasticScenario(const ElasticScenarioOptions& options) {
-  ElasticScenario scenario;
-  scenario.options = options;
-  ChurnScenarioOptions churn = options.churn;
-  // Fold the diurnal knobs into the scale options before generation so
-  // every source model the deployer draws carries them; the burst overlay
-  // goes through MakeChurnBurstScenario, which keeps the topology schedule
-  // identical to the burst-free scenario's.
-  churn.scale.diurnal_amplitude = options.diurnal_amplitude;
-  churn.scale.diurnal_period = options.diurnal_period;
-  scenario.churn = MakeChurnBurstScenario(std::move(churn), options.burst_prob,
-                                          options.burst_multiplier);
-  return scenario;
-}
-
-std::unique_ptr<Fsps> MakeElasticFederation(const ElasticScenario& scenario,
+std::unique_ptr<Fsps> MakeElasticFederation(const ChurnScenario& scenario,
                                             FspsOptions base) {
   base.elastic = true;
   base.load_signal = LoadSignalKind::kArrivalCost;
   // Orphan re-placement should use the same forward-looking ranking the
   // autoscaler trusts (a shedding-saturated node must not look idle).
   base.replacement = ReplacementPolicy::kSicAware;
-  return MakeChurnFederation(scenario.churn, std::move(base));
+  return MakeChurnFederation(scenario, std::move(base));
 }
 
-ElasticRunResult RunElasticScenario(Fsps* fsps, const ElasticScenario& scenario,
+ElasticRunResult RunElasticScenario(Fsps* fsps, const ChurnScenario& scenario,
+                                    const AutoscalerOptions& options,
                                     SimDuration measure) {
-  ScaleDeployer deployer(fsps, scenario.churn.base);
-  Autoscaler autoscaler(fsps, scenario.churn.base,
-                        scenario.options.autoscaler);
-
-  const auto& queries = scenario.churn.base.queries;
-  const auto& events = scenario.churn.events;
-  size_t next_query = 0;
-  size_t next_event = 0;
-  SimTime next_tick = scenario.options.autoscaler_start;
-  const SimDuration tick_interval = scenario.options.autoscaler.tick_interval;
-  THEMIS_CHECK(tick_interval > 0);
-  // The control loop keeps ticking through the measure window — the
-  // post-schedule stretch is where the diurnal trough lands, i.e. where
-  // the shrink side of the loop earns its keep.
-  SimTime last_scheduled = 0;
-  for (const auto& q : queries) {
-    last_scheduled = std::max(last_scheduled, q.arrival);
-  }
-  for (const auto& e : events) {
-    last_scheduled = std::max(last_scheduled, e.time);
-  }
-  last_scheduled += measure;
-
-  // Three deterministic streams replayed in timestamp order. At one
-  // instant: topology events first (a query arriving at a crash instant
-  // deploys onto the post-crash topology), then arrivals, then the
-  // autoscaler tick (the controller reacts to the instant's state). Same-
-  // timestamp topology events batch into one TopologyPlan — the schedule
-  // generator emits waves, and a wave is one transition.
-  while (next_query < queries.size() || next_event < events.size() ||
-         next_tick <= last_scheduled) {
-    SimTime at = next_tick <= last_scheduled ? next_tick : INT64_MAX;
-    if (next_query < queries.size()) {
-      at = std::min(at, queries[next_query].arrival);
-    }
-    if (next_event < events.size()) at = std::min(at, events[next_event].time);
-    if (at > fsps->now()) fsps->RunFor(at - fsps->now());
-
-    if (next_event < events.size() && events[next_event].time == at) {
-      TopologyPlan plan = fsps->PlanTopology();
-      while (next_event < events.size() && events[next_event].time == at) {
-        const ChurnEvent& ev = events[next_event];
-        ++next_event;
-        switch (ev.kind) {
-          case ChurnEventKind::kCrash:
-            plan.Crash(ev.a);
-            break;
-          case ChurnEventKind::kRestore:
-            plan.Restore(ev.a);
-            break;
-          case ChurnEventKind::kSetLinkLatency:
-            plan.SetLinkLatency(ev.a, ev.b, ev.latency);
-            break;
-        }
-      }
-      THEMIS_CHECK(plan.Apply().ok());
-    }
-    while (next_query < queries.size() && queries[next_query].arrival == at) {
-      deployer.DeployQuery(queries[next_query]);
-      ++next_query;
-    }
-    if (next_tick <= last_scheduled && next_tick == at) {
-      THEMIS_CHECK(autoscaler.Tick().ok());
-      next_tick += tick_interval;
-    }
-  }
-  SimTime end = last_scheduled;
-  if (end > fsps->now()) fsps->RunFor(end - fsps->now());
-
+  Autoscaler autoscaler(fsps, scenario.base, options);
   ElasticRunResult result;
-  result.churn.scale = CollectScaleResult(fsps);
-  const FspsChurnStats& churn = fsps->churn_stats();
-  result.churn.crashes = churn.crashes;
-  result.churn.restores = churn.restores;
-  result.churn.latency_updates = churn.latency_updates;
-  result.churn.replaced_fragments = churn.replaced_fragments;
-  result.churn.dropped_queries = churn.dropped_queries;
-  result.churn.skipped_arrivals = deployer.skipped_arrivals();
-  NodeStats stats = fsps->TotalNodeStats();
-  result.churn.batches_dropped_dead = stats.batches_dropped_dead;
-  result.churn.tuples_dropped_dead = stats.tuples_dropped_dead;
+  result.churn = ReplayScenario(fsps, scenario.base, scenario.events, measure,
+                                &autoscaler);
   result.autoscaler = autoscaler.stats();
+  const FspsChurnStats& churn = fsps->churn_stats();
   result.nodes_added = churn.nodes_added;
   result.rebalances = churn.rebalances;
   result.migrated_nodes = churn.migrated_nodes;
-  std::vector<NodeId> live = fsps->live_node_ids();
-  result.final_live_nodes = static_cast<int>(live.size());
-  double offered = 0.0;
-  SimTime now = fsps->now();
-  for (NodeId id : live) offered += fsps->node(id)->OfferedLoadUs(now);
-  SimDuration stw = fsps->options().node.stw;
-  if (!live.empty() && stw > 0) {
-    result.final_utilization =
-        offered / (static_cast<double>(live.size()) * static_cast<double>(stw));
-  }
+  result.final_live_nodes = static_cast<int>(fsps->live_node_ids().size());
+  result.final_utilization = autoscaler.Utilization(fsps->now());
   return result;
 }
 

@@ -1,12 +1,13 @@
-// Drives the full elastic stack end to end: a churn + burst scenario
-// (crash waves, flapping and drifting WAN links, 10x load spikes) with
-// diurnal source modulation layered on top, an autoscaler ticking between
-// run segments, and every topology mutation — the scenario's schedule and
-// the autoscaler's decisions alike — flowing through the TopologyPlan
-// control plane. This is the workload bench_elastic_federation measures:
-// the federation must track a load curve that swings through both
-// autoscaler thresholds per diurnal period while the churn schedule keeps
-// knocking nodes out from under it.
+// Drives the full elastic stack end to end: a churn scenario (crash waves,
+// flapping and drifting WAN links) whose scale options carry §7.4 bursts
+// and a diurnal source swing, with an autoscaler ticking between run
+// segments. The one replay loop (ReplayScenario, federation/
+// scale_federation.h, which documents the order at one instant) commits
+// the scenario's schedule and the autoscaler's decisions alike through the
+// TopologyPlan control plane. This is the workload bench_elastic_federation
+// measures: the federation must track a load curve that swings through
+// both autoscaler thresholds per diurnal period while the churn schedule
+// keeps knocking nodes out from under it.
 //
 // Determinism: the run is bit-identical run-to-run at any fixed shard
 // count. Different shard counts may diverge from each other (re-balances
@@ -24,39 +25,6 @@
 
 namespace themis {
 
-/// Knobs of the composed elastic scenario.
-struct ElasticScenarioOptions {
-  /// Base churn overlay (crash waves, link flaps/drift) over the scale
-  /// federation; `churn.scale.seed` seeds everything.
-  ChurnScenarioOptions churn;
-  /// Burst overlay (MakeChurnBurstScenario): probability that any given
-  /// second runs at `burst_multiplier` times the base rate.
-  double burst_prob = 0.10;
-  double burst_multiplier = 10.0;
-  /// Diurnal source modulation: triangle wave scaling every source's rate
-  /// in [1 - amplitude, 1 + amplitude]. The period should span several
-  /// autoscaler ticks so the loop can track the swing.
-  double diurnal_amplitude = 0.5;
-  SimDuration diurnal_period = Seconds(16);
-  /// The control loop under test.
-  AutoscalerOptions autoscaler;
-  /// First autoscaler tick (leave ramp-up for rate estimation).
-  SimTime autoscaler_start = Seconds(4);
-};
-
-/// \brief A fully materialised elastic scenario (pure data plus the
-/// autoscaler configuration; seed-deterministic).
-struct ElasticScenario {
-  ElasticScenarioOptions options;
-  /// Churn scenario with burst + diurnal knobs folded into the scale
-  /// options (so every generated source model carries them).
-  ChurnScenario churn;
-};
-
-/// Builds the composed scenario (deterministic in
-/// `options.churn.scale.seed`).
-ElasticScenario MakeElasticScenario(const ElasticScenarioOptions& options = {});
-
 /// Aggregate outcome of one elastic run.
 struct ElasticRunResult {
   ChurnRunResult churn;        ///< scale result + churn counters
@@ -71,16 +39,15 @@ struct ElasticRunResult {
 /// Builds the Fsps for the scenario: MakeChurnFederation with the elastic
 /// control plane on (FspsOptions::elastic) and the forward-looking
 /// arrival-cost load signal. `base.shards` sets the shard count.
-std::unique_ptr<Fsps> MakeElasticFederation(const ElasticScenario& scenario,
+std::unique_ptr<Fsps> MakeElasticFederation(const ChurnScenario& scenario,
                                             FspsOptions base = {});
 
-/// Replays query arrivals, topology events and autoscaler ticks in
-/// timestamp order (events before arrivals at a tie, ticks after both: the
-/// controller reacts to a state change, never races it), runs `measure`
-/// more simulated time past the schedule, and returns the aggregate
-/// result. `fsps` must come from MakeElasticFederation for the same
-/// scenario and not have run yet.
-ElasticRunResult RunElasticScenario(Fsps* fsps, const ElasticScenario& scenario,
+/// Replays the scenario with an Autoscaler built from `options` ticking
+/// from options.first_tick through the `measure` window past the schedule,
+/// and returns the aggregate result. `fsps` must come from
+/// MakeElasticFederation for the same scenario and not have run yet.
+ElasticRunResult RunElasticScenario(Fsps* fsps, const ChurnScenario& scenario,
+                                    const AutoscalerOptions& options,
                                     SimDuration measure = Seconds(10));
 
 }  // namespace themis

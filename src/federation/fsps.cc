@@ -404,16 +404,14 @@ void Fsps::SampleRecovery() {
   for (auto& [q, coord] : coordinators_) {
     sics.emplace_back(q, coord->CurrentSic());
   }
-  uint64_t before = recovery_.jain_series().pushed();
-  recovery_.Sample(engine_->now(), sics);
-  if (recovery_.jain_series().pushed() != before) {
-    // Mirror the accepted Jain sample into the telemetry snapshot path
-    // (the tracker de-duplicates repeated instants, so gate on `pushed`).
+  // Mirror each accepted Jain sample into the telemetry snapshot path
+  // (the tracker de-duplicates repeated instants).
+  if (recovery_.Sample(engine_->now(), sics)) {
     if (telemetry::Telemetry* tel = telemetry::Get()) {
       tel->metrics()
           .GetSeries("recovery.jain")
           ->Append(static_cast<int64_t>(engine_->now()),
-                   recovery_.jain_series().back().value);
+                   recovery_.latest_jain());
     }
   }
 }

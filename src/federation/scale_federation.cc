@@ -1,9 +1,13 @@
 #include "federation/scale_federation.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <map>
 
 #include "common/logging.h"
+#include "common/stats.h"
+#include "federation/autoscaler.h"
+#include "metrics/jain.h"
 #include "workload/workloads.h"
 
 namespace themis {
@@ -21,6 +25,24 @@ double CpuSpeedForScenario(const ScaleScenario& scenario) {
   double needed_us_per_sec = scenario.total_source_rate * kPipelineCostUs;
   double available_us_per_sec = 1e6 * o.nodes * o.overload_factor;
   return needed_us_per_sec / available_us_per_sec;
+}
+
+/// The one place a replay's counters are collected (the tail of every
+/// scale, churn and elastic run).
+ChurnRunResult CollectChurnResult(Fsps* fsps, uint64_t skipped_arrivals) {
+  ChurnRunResult result;
+  result.scale = CollectScaleResult(fsps);
+  const FspsChurnStats& churn = fsps->churn_stats();
+  result.crashes = churn.crashes;
+  result.restores = churn.restores;
+  result.latency_updates = churn.latency_updates;
+  result.replaced_fragments = churn.replaced_fragments;
+  result.dropped_queries = churn.dropped_queries;
+  result.skipped_arrivals = skipped_arrivals;
+  NodeStats stats = fsps->TotalNodeStats();
+  result.batches_dropped_dead = stats.batches_dropped_dead;
+  result.tuples_dropped_dead = stats.tuples_dropped_dead;
+  return result;
 }
 
 }  // namespace
@@ -120,20 +142,85 @@ bool ScaleDeployer::DeployQuery(const ScaleQuerySpec& spec) {
   return true;
 }
 
+ChurnRunResult ReplayScenario(Fsps* fsps, const ScaleScenario& scenario,
+                              const std::vector<ChurnEvent>& events,
+                              SimDuration measure, Autoscaler* autoscaler) {
+  ScaleDeployer deployer(fsps, scenario);
+  const std::vector<ScaleQuerySpec>& queries = scenario.queries;
+  SimTime end = fsps->now();
+  if (!queries.empty()) end = std::max(end, queries.back().arrival);
+  if (!events.empty()) end = std::max(end, events.back().time);
+  end += measure;
+  SimTime next_tick = INT64_MAX;
+  SimDuration tick_interval = 0;
+  if (autoscaler != nullptr) {
+    next_tick = autoscaler->options().first_tick;
+    tick_interval = autoscaler->options().tick_interval;
+    THEMIS_CHECK(tick_interval > 0);
+  }
+
+  // One instant per iteration, in the order documented at the
+  // declaration: events, then arrivals, then the tick.
+  size_t next_query = 0;
+  size_t next_event = 0;
+  while (true) {
+    SimTime at = next_tick <= end ? next_tick : INT64_MAX;
+    if (next_query < queries.size()) {
+      at = std::min(at, queries[next_query].arrival);
+    }
+    if (next_event < events.size()) at = std::min(at, events[next_event].time);
+    if (at == INT64_MAX) break;
+    if (at > fsps->now()) fsps->RunFor(at - fsps->now());
+
+    if (next_event < events.size() && events[next_event].time == at) {
+      TopologyPlan plan = fsps->PlanTopology();
+      uint64_t crashes = 0;
+      uint64_t restores = 0;
+      uint64_t link_updates = 0;
+      while (next_event < events.size() && events[next_event].time == at) {
+        const ChurnEvent& ev = events[next_event];
+        ++next_event;
+        switch (ev.kind) {
+          case ChurnEventKind::kCrash:
+            plan.Crash(ev.a);
+            ++crashes;
+            break;
+          case ChurnEventKind::kRestore:
+            plan.Restore(ev.a);
+            ++restores;
+            break;
+          case ChurnEventKind::kSetLinkLatency:
+            plan.SetLinkLatency(ev.a, ev.b, ev.latency);
+            ++link_updates;
+            break;
+        }
+      }
+      THEMIS_LOG(Info) << "churn wave t_us=" << at << " crashes=" << crashes
+                       << " restores=" << restores
+                       << " link_updates=" << link_updates
+                       << " plan_ops=" << plan.size();
+      THEMIS_CHECK(plan.Apply().ok());
+    }
+    while (next_query < queries.size() && queries[next_query].arrival == at) {
+      deployer.DeployQuery(queries[next_query]);
+      ++next_query;
+    }
+    if (autoscaler != nullptr && next_tick == at) {
+      THEMIS_CHECK(autoscaler->Tick().ok());
+      next_tick += tick_interval;
+    }
+  }
+  if (autoscaler == nullptr) {
+    fsps->RunFor(measure);
+  } else if (end > fsps->now()) {
+    fsps->RunFor(end - fsps->now());
+  }
+  return CollectChurnResult(fsps, deployer.skipped_arrivals());
+}
+
 ScaleRunResult RunScaleScenario(Fsps* fsps, const ScaleScenario& scenario,
                                 SimDuration measure) {
-  ScaleDeployer deployer(fsps, scenario);
-  for (const ScaleQuerySpec& spec : scenario.queries) {
-    // Advance the simulation to this arrival (waves share arrival times, so
-    // this is a no-op within a wave). Deployment happens between run
-    // segments — the only legal place on a sharded engine.
-    if (spec.arrival > fsps->now()) {
-      fsps->RunFor(spec.arrival - fsps->now());
-    }
-    deployer.DeployQuery(spec);
-  }
-  fsps->RunFor(measure);
-  return CollectScaleResult(fsps);
+  return ReplayScenario(fsps, scenario, {}, measure).scale;
 }
 
 ScaleRunResult CollectScaleResult(Fsps* fsps) {
@@ -146,19 +233,8 @@ ScaleRunResult CollectScaleResult(Fsps* fsps) {
   result.bytes = fsps->network()->bytes_sent();
   result.events = fsps->engine()->executed();
   result.final_sics = fsps->AllQuerySics();
-
-  double sum = 0.0, sum_sq = 0.0;
-  for (double sic : result.final_sics) {
-    sum += sic;
-    sum_sq += sic * sic;
-  }
-  size_t n = result.final_sics.size();
-  if (n > 0) {
-    result.mean_sic = sum / static_cast<double>(n);
-    if (sum_sq > 0.0) {
-      result.jain = (sum * sum) / (static_cast<double>(n) * sum_sq);
-    }
-  }
+  result.mean_sic = Mean(result.final_sics);
+  result.jain = JainIndex(result.final_sics);
   return result;
 }
 

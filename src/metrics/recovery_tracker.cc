@@ -9,22 +9,6 @@
 
 namespace themis {
 
-void SicRing::Push(SimTime time, double value) {
-  if (capacity_ == 0) return;
-  if (samples_.size() < capacity_) {
-    samples_.push_back({time, value});
-  } else {
-    samples_[head_] = {time, value};
-    head_ = (head_ + 1) % capacity_;
-  }
-  pushed_ += 1;
-}
-
-const SicSample& SicRing::At(size_t i) const {
-  THEMIS_CHECK(i < samples_.size());
-  return samples_[(head_ + i) % samples_.size()];
-}
-
 std::string DisturbanceKindName(DisturbanceKind kind) {
   switch (kind) {
     case DisturbanceKind::kCrashWave:
@@ -40,16 +24,16 @@ std::string DisturbanceKindName(DisturbanceKind kind) {
 }
 
 RecoveryTracker::RecoveryTracker(RecoveryTrackerOptions options)
-    : options_(options), jain_series_(options.ring_capacity) {
+    : options_(options) {
   THEMIS_CHECK(options_.sample_interval > 0);
   THEMIS_CHECK(options_.recover_fraction > 0.0 &&
                options_.recover_fraction <= 1.0);
 }
 
-void RecoveryTracker::Sample(
+bool RecoveryTracker::Sample(
     SimTime now, const std::vector<std::pair<QueryId, double>>& sics) {
-  THEMIS_CHECK(now >= last_sample_time_);  // monotone sample clock
-  if (now == last_sample_time_) return;    // first reading of an instant wins
+  THEMIS_CHECK(now >= last_sample_time_);      // monotone sample clock
+  if (now == last_sample_time_) return false;  // first reading wins
   SimTime prev = last_sample_time_;
   last_sample_time_ = now;
   samples_ += 1;
@@ -57,20 +41,17 @@ void RecoveryTracker::Sample(
   std::vector<double> values;
   values.reserve(sics.size());
   for (const auto& [q, sic] : sics) {
-    auto it = query_series_.find(q);
-    if (it == query_series_.end()) {
-      it = query_series_.emplace(q, SicRing(options_.ring_capacity)).first;
-    }
-    it->second.Push(now, sic);
+    latest_sic_[q] = sic;
     values.push_back(sic);
   }
   double jain = JainIndex(values);
-  jain_series_.Push(now, jain);
+  latest_jain_ = jain;
   min_jain_ = std::min(min_jain_, jain);
 
   for (Disturbance& d : disturbances_) {
     if (d.open) UpdateDisturbance(now, prev, jain, &d, sics);
   }
+  return true;
 }
 
 void RecoveryTracker::UpdateDisturbance(
@@ -148,8 +129,8 @@ void RecoveryTracker::MarkDisturbance(SimTime now, DisturbanceKind kind) {
   Disturbance d;
   d.time = now;
   d.kind = kind;
-  if (!jain_series_.empty()) {
-    d.jain_baseline = jain_series_.back().value;
+  if (samples_ > 0) {
+    d.jain_baseline = latest_jain_;
     d.jain_threshold = options_.jain_recover_fraction * d.jain_baseline;
   } else {
     // A mark before the first sample has no pre-fault fairness level.
@@ -158,20 +139,14 @@ void RecoveryTracker::MarkDisturbance(SimTime now, DisturbanceKind kind) {
   // Baseline every query at its latest sampled SIC. Queries never sampled
   // yet (a mark before the first cadence tick) get no dip record: there is
   // no pre-fault level to measure a dip against.
-  for (const auto& [q, ring] : query_series_) {
-    if (ring.empty()) continue;
+  for (const auto& [q, sic] : latest_sic_) {
     QueryDip dip;
     dip.query = q;
-    dip.baseline = ring.back().value;
+    dip.baseline = sic;
     dip.threshold = options_.recover_fraction * dip.baseline;
     d.dips.push_back(dip);
   }
   disturbances_.push_back(std::move(d));
-}
-
-const SicRing* RecoveryTracker::query_series(QueryId q) const {
-  auto it = query_series_.find(q);
-  return it == query_series_.end() ? nullptr : &it->second;
 }
 
 RecoverySummary RecoveryTracker::Summarize(DisturbanceKind kind) const {
@@ -186,7 +161,7 @@ RecoverySummary RecoveryTracker::SummarizeMatching(bool any_kind,
                                                    DisturbanceKind kind) const {
   RecoverySummary s;
   s.min_jain = min_jain_;
-  s.final_jain = jain_series_.empty() ? 1.0 : jain_series_.back().value;
+  s.final_jain = latest_jain_;
   double sum_dip = 0.0, sum_area = 0.0, sum_ttr_ms = 0.0;
   double sum_censored_ttr_ms = 0.0;
   double sum_jain_ttr_ms = 0.0;
@@ -254,7 +229,7 @@ std::string RecoveryTracker::DebugString() const {
                 "final_jain=%.9f\n",
                 static_cast<unsigned long long>(samples_),
                 static_cast<long long>(last_sample_time_), min_jain_,
-                jain_series_.empty() ? 1.0 : jain_series_.back().value);
+                latest_jain_);
   out << buf;
   for (const Disturbance& d : disturbances_) {
     std::snprintf(buf, sizeof(buf),

@@ -1,7 +1,7 @@
 // Recovery observability: turns the per-query SIC snapshot into a
 // time-series discipline. A RecoveryTracker samples every deployed query's
-// result SIC at a fixed cadence into ring-buffered series (plus the
-// federation-wide Jain index over the same instants) and, for every
+// result SIC at a fixed cadence (plus the federation-wide Jain index over
+// the same instants), keeping only the newest reading of each, and, for every
 // control-plane disturbance it is told about — a crash wave, a restore, a
 // batch of applied link edits — measures how the fault cut into each
 // query's SIC: dip depth below the pre-fault baseline, time to recover back
@@ -49,36 +49,6 @@ struct RecoveryTrackerOptions {
   /// seconds, not at the next sample — so the dip window must stay armed
   /// while the dent develops. Defaults to the paper's 10 s STW.
   SimDuration dip_onset_window = Seconds(10);
-  /// Samples retained per ring series (per query, and for the Jain series).
-  /// Dip statistics accumulate online, so eviction never corrupts them.
-  size_t ring_capacity = 4096;
-};
-
-/// One (time, value) sample of a ring series.
-struct SicSample {
-  SimTime time = 0;
-  double value = 0.0;
-};
-
-/// \brief Fixed-capacity ring of SicSamples (oldest evicted first).
-class SicRing {
- public:
-  explicit SicRing(size_t capacity) : capacity_(capacity) {}
-
-  void Push(SimTime time, double value);
-  size_t size() const { return samples_.size(); }
-  bool empty() const { return samples_.empty(); }
-  /// i = 0 is the oldest retained sample, size() - 1 the newest.
-  const SicSample& At(size_t i) const;
-  const SicSample& back() const { return At(size() - 1); }
-  /// Total samples ever pushed (>= size() once eviction starts).
-  uint64_t pushed() const { return pushed_; }
-
- private:
-  size_t capacity_;
-  size_t head_ = 0;  ///< index of the oldest sample once full
-  uint64_t pushed_ = 0;
-  std::vector<SicSample> samples_;
 };
 
 /// What kind of control-plane event opened a disturbance window.
@@ -170,8 +140,10 @@ class RecoveryTracker {
   /// current result SIC in ascending query-id order. Time must be monotone
   /// non-decreasing; a repeated call at the same instant is a no-op (the
   /// first reading of an instant wins), so cadence samples and
-  /// disturbance-time samples compose without double counting.
-  void Sample(SimTime now,
+  /// disturbance-time samples compose without double counting. Returns
+  /// whether the instant was accepted. Dip statistics accumulate online,
+  /// so only the newest reading of each series is kept.
+  bool Sample(SimTime now,
               const std::vector<std::pair<QueryId, double>>& sics);
 
   /// Opens a disturbance window at `now`, baselined at each query's latest
@@ -184,10 +156,9 @@ class RecoveryTracker {
   SimTime last_sample_time() const { return last_sample_time_; }
   uint64_t samples() const { return samples_; }
 
-  /// Ring series of query `q`'s sampled SIC (null when never sampled).
-  const SicRing* query_series(QueryId q) const;
-  /// Ring series of the federation-wide Jain index over the same instants.
-  const SicRing& jain_series() const { return jain_series_; }
+  /// Federation-wide Jain index at the latest accepted sample (1 before
+  /// the first), and its minimum over every sample.
+  double latest_jain() const { return latest_jain_; }
   double min_jain() const { return min_jain_; }
 
   const std::vector<Disturbance>& disturbances() const {
@@ -214,8 +185,9 @@ class RecoveryTracker {
   RecoveryTrackerOptions options_;
   SimTime last_sample_time_ = -1;
   uint64_t samples_ = 0;
-  std::map<QueryId, SicRing> query_series_;
-  SicRing jain_series_;
+  /// Latest sampled SIC of every query ever sampled (dip baselines).
+  std::map<QueryId, double> latest_sic_;
+  double latest_jain_ = 1.0;
   double min_jain_ = 1.0;
   std::vector<Disturbance> disturbances_;
 };

@@ -49,9 +49,6 @@ struct NodeOptions {
   SimDuration window_grace = Millis(200);
   /// Overload detector headroom multiplier (1.0 = paper behaviour).
   double headroom = 1.0;
-  /// §6 local projection of result SIC in the shedder (see BalanceSicOptions;
-  /// also exposed here so FSPS presets can toggle it globally).
-  bool project_local_shedding = true;
   /// Track per-query tuple arrival rates at ingress (feeds OfferedLoadUs —
   /// the forward-looking placement/autoscaler signal). Off by default: the
   /// tracker allocates on the data-plane hot path, and the historical

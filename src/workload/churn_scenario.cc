@@ -154,14 +154,4 @@ ChurnScenario MakeChurnScenario(const ChurnScenarioOptions& options) {
   return scenario;
 }
 
-ChurnScenario MakeChurnBurstScenario(ChurnScenarioOptions options,
-                                     double burst_prob,
-                                     double burst_multiplier) {
-  THEMIS_CHECK(burst_prob >= 0.0 && burst_prob <= 1.0);
-  THEMIS_CHECK(burst_multiplier >= 1.0);
-  options.scale.burst_prob = burst_prob;
-  options.scale.burst_multiplier = burst_multiplier;
-  return MakeChurnScenario(options);
-}
-
 }  // namespace themis

@@ -89,23 +89,6 @@ struct ChurnScenario {
 /// `options.scale.seed`).
 ChurnScenario MakeChurnScenario(const ChurnScenarioOptions& options = {});
 
-/// \brief The churn + burst interaction scenario (§7.4 under partial
-/// outage): the same seed-derived churn schedule with bursty sources
-/// layered onto the base federation, so crash waves land while the
-/// survivors are already absorbing 10x load spikes and the shedders are
-/// stressed hardest.
-///
-/// Equivalent to MakeChurnScenario with `options.scale.burst_*` set
-/// (`burst_prob` / `burst_multiplier` override whatever the caller left
-/// there); kept as its own entry point so benches and tests name the
-/// composed stress scenario explicitly. Deterministic in
-/// `options.scale.seed` — the burst overlay draws from each source
-/// driver's own stream, never from the schedule rng, so the topology
-/// events are identical to the burst-free scenario's.
-ChurnScenario MakeChurnBurstScenario(ChurnScenarioOptions options = {},
-                                     double burst_prob = 0.10,
-                                     double burst_multiplier = 10.0);
-
 }  // namespace themis
 
 #endif  // THEMIS_WORKLOAD_CHURN_SCENARIO_H_

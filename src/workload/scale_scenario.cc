@@ -24,6 +24,8 @@ ScaleScenario MakeScaleScenario(const ScaleScenarioOptions& options) {
   THEMIS_CHECK(options.queries >= 1 && options.arrival_wave >= 1);
   THEMIS_CHECK(options.fragments_min >= 1 &&
                options.fragments_max >= options.fragments_min);
+  THEMIS_CHECK(options.burst_prob >= 0.0 && options.burst_prob <= 1.0);
+  THEMIS_CHECK(options.burst_multiplier >= 1.0);
 
   ScaleScenario scenario;
   scenario.options = options;

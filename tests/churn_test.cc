@@ -7,11 +7,14 @@
 // double-recycles.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <set>
 #include <vector>
 
+#include "federation/autoscaler.h"
 #include "federation/churn_federation.h"
+#include "federation/elastic_federation.h"
 #include "federation/fsps.h"
 #include "workload/churn_scenario.h"
 #include "workload/workloads.h"
@@ -316,7 +319,10 @@ TEST(ChurnScenarioTest, BurstOverlayKeepsTheScheduleIdentical) {
   // source models: the topology schedule is drawn from the same rng
   // stream, so every event matches the burst-free scenario's exactly.
   ChurnScenario plain = MakeChurnScenario(SmallChurnOptions());
-  ChurnScenario burst = MakeChurnBurstScenario(SmallChurnOptions(), 0.2, 8.0);
+  ChurnScenarioOptions bo = SmallChurnOptions();
+  bo.scale.burst_prob = 0.2;
+  bo.scale.burst_multiplier = 8.0;
+  ChurnScenario burst = MakeChurnScenario(bo);
   EXPECT_DOUBLE_EQ(burst.options.scale.burst_prob, 0.2);
   EXPECT_DOUBLE_EQ(burst.options.scale.burst_multiplier, 8.0);
   EXPECT_DOUBLE_EQ(plain.options.scale.burst_prob, 0.0);
@@ -340,7 +346,9 @@ TEST(ChurnScenarioTest, BurstOverlayGeneratesMoreTuples) {
   ChurnScenarioOptions co = SmallChurnOptions();
   co.crashes_per_wave = 1;
   ChurnScenario plain = MakeChurnScenario(co);
-  ChurnScenario burst = MakeChurnBurstScenario(co, 0.3, 6.0);
+  co.scale.burst_prob = 0.3;
+  co.scale.burst_multiplier = 6.0;
+  ChurnScenario burst = MakeChurnScenario(co);
   auto plain_fsps = MakeChurnFederation(plain);
   auto burst_fsps = MakeChurnFederation(burst);
   ChurnRunResult pr = RunChurnScenario(plain_fsps.get(), plain, Seconds(4));
@@ -366,6 +374,52 @@ TEST(ChurnScenarioTest, EndToEndChurnRunStaysHealthy) {
   // All nodes are back up at the end.
   size_t total_nodes = static_cast<size_t>(co.scale.nodes);
   EXPECT_EQ(fsps->live_node_ids().size(), total_nodes);
+}
+
+TEST(ChurnScenarioTest, OneInstantReplaysEventsThenArrivalsThenTick) {
+  // An arrival, a crash wave and an autoscaler tick share t = 2 s. The
+  // replay must commit the wave first, deploy the arrival onto the
+  // post-crash topology, then tick against the post-crash live set.
+  ScaleScenarioOptions so;
+  so.nodes = 4;
+  so.clusters = 2;  // cluster 0 = nodes {0, 1}, cluster 1 = nodes {2, 3}
+  so.queries = 3;
+  ChurnScenario scenario;
+  scenario.base = MakeScaleScenario(so);
+  const SimTime at = Seconds(2);
+  // q0 and q1 take nodes 0 and 2, leaving cluster 0's round-robin cursor
+  // on node 1 for q2 — the node the wave crashes at q2's arrival instant.
+  scenario.base.queries = {{0, ComplexKind::kAvgAll, 1, 0, 0},
+                           {1, ComplexKind::kAvgAll, 1, 0, 1},
+                           {2, ComplexKind::kAvgAll, 1, at, 0}};
+  scenario.events = {{at, ChurnEventKind::kCrash, 1},
+                     {at, ChurnEventKind::kCrash, 3}};
+  FspsOptions fo;
+  fo.shards = 1;
+  auto fsps = MakeElasticFederation(scenario, fo);
+  AutoscalerOptions ao;
+  ao.first_tick = at;
+  ao.tick_interval = Seconds(60);  // the only tick of the run
+  Autoscaler autoscaler(fsps.get(), scenario.base, ao);
+  ChurnRunResult r = ReplayScenario(fsps.get(), scenario.base, scenario.events,
+                                    0, &autoscaler);
+  ASSERT_EQ(fsps->now(), at);  // measure 0: the run ends at the instant
+  EXPECT_EQ(r.crashes, 2u);
+  // q2 skipped the crashed node 1 and landed on node 0: no orphan to
+  // re-place, no bounced arrival.
+  EXPECT_EQ(r.replaced_fragments, 0u);
+  EXPECT_EQ(r.skipped_arrivals, 0u);
+  std::vector<QueryId> on_node0 = fsps->node(0)->HostedQueries();
+  EXPECT_NE(std::find(on_node0.begin(), on_node0.end(), 2), on_node0.end());
+
+  ASSERT_EQ(autoscaler.stats().ticks, 1u);
+  std::vector<NodeId> live = fsps->live_node_ids();
+  ASSERT_EQ(live, (std::vector<NodeId>{0, 2}));
+  double offered = 0.0;
+  for (NodeId id : live) offered += fsps->node(id)->OfferedLoadUs(at);
+  ASSERT_GT(offered, 0.0);  // the two live-set sizes give different values
+  const double stw = static_cast<double>(fsps->options().node.stw);
+  EXPECT_DOUBLE_EQ(autoscaler.last_utilization(), offered / (2.0 * stw));
 }
 
 }  // namespace

@@ -188,17 +188,20 @@ TEST_F(ElasticShardTest, RebalanceRequiresElasticOnShardedEngine) {
 
 // --- scenario-level determinism -----------------------------------------
 
-ElasticScenarioOptions SmallElasticOptions() {
-  ElasticScenarioOptions eo;
-  eo.churn.scale.nodes = 16;
-  eo.churn.scale.clusters = 8;
-  eo.churn.scale.queries = 12;
-  eo.churn.scale.arrival_wave = 4;
-  eo.churn.churn_horizon = Seconds(20);
-  eo.churn.crashes_per_wave = 1;
-  eo.diurnal_period = Seconds(8);
-  eo.autoscaler.max_added_nodes = 8;
-  return eo;
+// A churn scenario with 10x bursts (burst_multiplier's default) and a
+// diurnal swing, as the elastic bench runs.
+ChurnScenarioOptions SmallElasticOptions() {
+  ChurnScenarioOptions co;
+  co.scale.nodes = 16;
+  co.scale.clusters = 8;
+  co.scale.queries = 12;
+  co.scale.arrival_wave = 4;
+  co.scale.burst_prob = 0.10;
+  co.scale.diurnal_amplitude = 0.5;
+  co.scale.diurnal_period = Seconds(8);
+  co.churn_horizon = Seconds(20);
+  co.crashes_per_wave = 1;
+  return co;
 }
 
 // Serialises every deterministic field of an elastic run.
@@ -241,15 +244,17 @@ std::string Digest(const ElasticRunResult& r) {
   return out;
 }
 
-ElasticRunResult RunOnce(const ElasticScenario& scenario, int shards) {
+ElasticRunResult RunOnce(const ChurnScenario& scenario, int shards) {
   FspsOptions fo;
   fo.shards = shards;
   auto fsps = MakeElasticFederation(scenario, fo);
-  return RunElasticScenario(fsps.get(), scenario, Seconds(5));
+  AutoscalerOptions ao;
+  ao.max_added_nodes = 8;
+  return RunElasticScenario(fsps.get(), scenario, ao, Seconds(5));
 }
 
 TEST(ElasticScenarioTest, RunToRunDigestIdentityAtEveryShardCount) {
-  ElasticScenario scenario = MakeElasticScenario(SmallElasticOptions());
+  ChurnScenario scenario = MakeChurnScenario(SmallElasticOptions());
   for (int shards : {1, 4, 8}) {
     ElasticRunResult a = RunOnce(scenario, shards);
     ElasticRunResult b = RunOnce(scenario, shards);
@@ -265,7 +270,7 @@ TEST(ElasticScenarioTest, AutoscalerTracksLoad) {
   // The small scenario is permanently overloaded (overload_factor 2), so
   // the loop must grow the federation; diurnal troughs and the burst gaps
   // pull utilization back down, so hysteresis must gate the actions.
-  ElasticScenario scenario = MakeElasticScenario(SmallElasticOptions());
+  ChurnScenario scenario = MakeChurnScenario(SmallElasticOptions());
   ElasticRunResult r = RunOnce(scenario, 4);
   EXPECT_GT(r.autoscaler.ticks, 0u);
   EXPECT_GT(r.autoscaler.grow_actions, 0u);
@@ -277,19 +282,22 @@ TEST(ElasticScenarioTest, AutoscalerTracksLoad) {
 }
 
 TEST(ElasticScenarioTest, ScenarioGenerationIsSeedDeterministic) {
-  ElasticScenario a = MakeElasticScenario(SmallElasticOptions());
-  ElasticScenario b = MakeElasticScenario(SmallElasticOptions());
-  ASSERT_EQ(a.churn.events.size(), b.churn.events.size());
-  ASSERT_EQ(a.churn.base.queries.size(), b.churn.base.queries.size());
-  // Diurnal + burst knobs land on the scale options the sources are
+  ChurnScenario a = MakeChurnScenario(SmallElasticOptions());
+  ChurnScenario b = MakeChurnScenario(SmallElasticOptions());
+  ASSERT_EQ(a.events.size(), b.events.size());
+  ASSERT_EQ(a.base.queries.size(), b.base.queries.size());
+  // Diurnal + burst knobs sit on the scale options the sources are
   // generated from, and the topology schedule matches the plain one.
-  EXPECT_GT(a.churn.base.options.diurnal_amplitude, 0.0);
-  EXPECT_GT(a.churn.base.options.burst_prob, 0.0);
-  ChurnScenario plain = MakeChurnScenario(SmallElasticOptions().churn);
-  ASSERT_EQ(a.churn.events.size(), plain.events.size());
+  EXPECT_GT(a.base.options.diurnal_amplitude, 0.0);
+  EXPECT_GT(a.base.options.burst_prob, 0.0);
+  ChurnScenarioOptions plain_options = SmallElasticOptions();
+  plain_options.scale.burst_prob = 0.0;
+  plain_options.scale.diurnal_amplitude = 0.0;
+  ChurnScenario plain = MakeChurnScenario(plain_options);
+  ASSERT_EQ(a.events.size(), plain.events.size());
   for (size_t i = 0; i < plain.events.size(); ++i) {
-    EXPECT_EQ(a.churn.events[i].time, plain.events[i].time);
-    EXPECT_EQ(a.churn.events[i].a, plain.events[i].a);
+    EXPECT_EQ(a.events[i].time, plain.events[i].time);
+    EXPECT_EQ(a.events[i].a, plain.events[i].a);
   }
 }
 

@@ -2,8 +2,9 @@
 // depth, time-to-recover and area-under-dip against hand-computed series,
 // the never-recovers (open dip at end of run) and unaffected (settled by
 // the onset window) lifecycles, back-to-back overlapping dips with
-// independent baselines, ring eviction, Jain-over-time, and the
-// idempotence/coalescing rules the Fsps control plane relies on.
+// independent baselines, exact statistics from the newest sample alone,
+// Jain-over-time, and the idempotence/coalescing rules the Fsps control
+// plane relies on.
 #include <gtest/gtest.h>
 
 #include <utility>
@@ -166,12 +167,9 @@ TEST(RecoveryTrackerTest, OverlappingDisturbancesTrackIndependentBaselines) {
 
 TEST(RecoveryTrackerTest, SameInstantSamplesAndMarksAreDeduplicated) {
   RecoveryTracker tracker(SmallOptions());
-  tracker.Sample(Seconds(1), Sics{{0, 1.0}});
-  tracker.Sample(Seconds(1), Sics{{0, 0.1}});  // ignored: first wins
+  EXPECT_TRUE(tracker.Sample(Seconds(1), Sics{{0, 1.0}}));
+  EXPECT_FALSE(tracker.Sample(Seconds(1), Sics{{0, 0.1}}));  // first wins
   EXPECT_EQ(tracker.samples(), 1u);
-  ASSERT_NE(tracker.query_series(0), nullptr);
-  EXPECT_EQ(tracker.query_series(0)->size(), 1u);
-  EXPECT_DOUBLE_EQ(tracker.query_series(0)->back().value, 1.0);
 
   // A wave of control-plane calls at one instant is one disturbance.
   tracker.MarkDisturbance(Seconds(1), DisturbanceKind::kCrashWave);
@@ -181,24 +179,23 @@ TEST(RecoveryTrackerTest, SameInstantSamplesAndMarksAreDeduplicated) {
   EXPECT_EQ(tracker.disturbances()[0].events, 2);
   EXPECT_EQ(tracker.disturbances()[1].events, 1);
   EXPECT_EQ(tracker.disturbances()[1].kind, DisturbanceKind::kRestore);
+  // Both baseline q0 at the instant's first reading.
+  for (const Disturbance& d : tracker.disturbances()) {
+    ASSERT_EQ(d.dips.size(), 1u);
+    EXPECT_DOUBLE_EQ(d.dips[0].baseline, 1.0);
+  }
 }
 
-TEST(RecoveryTrackerTest, RingEvictsOldestButStatsStayExact) {
-  RecoveryTrackerOptions opts = SmallOptions();
-  opts.ring_capacity = 4;
-  RecoveryTracker tracker(opts);
+TEST(RecoveryTrackerTest, StatsStayExactFromTheNewestSampleAlone) {
+  RecoveryTracker tracker(SmallOptions());
   tracker.Sample(Seconds(1), Sics{{0, 1.0}});
   tracker.MarkDisturbance(Seconds(1), DisturbanceKind::kCrashWave);
   for (int i = 2; i <= 10; ++i) {
     tracker.Sample(Seconds(i), Sics{{0, i < 10 ? 0.5 : 0.95}});
   }
-  const SicRing* ring = tracker.query_series(0);
-  ASSERT_NE(ring, nullptr);
-  EXPECT_EQ(ring->size(), 4u);  // evicted down to capacity
-  EXPECT_EQ(ring->pushed(), 10u);
-  EXPECT_EQ(ring->At(0).time, Seconds(7));  // oldest retained
-  EXPECT_EQ(ring->back().time, Seconds(10));
-  // Dip statistics accumulated online, unaffected by eviction:
+  EXPECT_EQ(tracker.samples(), 10u);
+  EXPECT_EQ(tracker.last_sample_time(), Seconds(10));
+  // Dip statistics accumulate online, so no sample history is kept:
   // 8 samples at 0.5 -> area 0.5 * 8 s, recovery at t = 10 s.
   const QueryDip& dip = tracker.disturbances()[0].dips[0];
   EXPECT_TRUE(dip.recovered);
@@ -210,15 +207,16 @@ TEST(RecoveryTrackerTest, RingEvictsOldestButStatsStayExact) {
 TEST(RecoveryTrackerTest, JainSeriesTracksFairnessOverTime) {
   RecoveryTracker tracker(SmallOptions());
   tracker.Sample(Seconds(1), Sics{{0, 0.5}, {1, 0.5}});
+  EXPECT_DOUBLE_EQ(tracker.latest_jain(), 1.0);
   tracker.Sample(Seconds(2), Sics{{0, 0.8}, {1, 0.2}});
-  tracker.Sample(Seconds(3), Sics{{0, 0.5}, {1, 0.4}});
-  ASSERT_EQ(tracker.jain_series().size(), 3u);
-  EXPECT_DOUBLE_EQ(tracker.jain_series().At(0).value, 1.0);
   // (0.8+0.2)^2 / (2 * (0.64+0.04)) = 1 / 1.36.
-  EXPECT_NEAR(tracker.jain_series().At(1).value, 1.0 / 1.36, 1e-12);
+  EXPECT_NEAR(tracker.latest_jain(), 1.0 / 1.36, 1e-12);
+  tracker.Sample(Seconds(3), Sics{{0, 0.5}, {1, 0.4}});
+  EXPECT_EQ(tracker.samples(), 3u);
   EXPECT_NEAR(tracker.min_jain(), 1.0 / 1.36, 1e-12);
-  EXPECT_NEAR(tracker.SummarizeAll().final_jain,
-              tracker.jain_series().back().value, 1e-12);
+  // (0.5+0.4)^2 / (2 * (0.25+0.16)) = 0.81 / 0.82.
+  EXPECT_NEAR(tracker.latest_jain(), 0.81 / 0.82, 1e-12);
+  EXPECT_NEAR(tracker.SummarizeAll().final_jain, 0.81 / 0.82, 1e-12);
 }
 
 TEST(RecoveryTrackerTest, DepartedQueryStaysUnrecovered) {

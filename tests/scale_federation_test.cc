@@ -125,6 +125,24 @@ TEST(ScaleFederationTest, DifferentSeedsDiverge) {
   EXPECT_NE(a.final_sics, b.final_sics);
 }
 
+TEST(ScaleFederationTest, NeverRunFederationReportsPerfectJain) {
+  // Deployed but never run: every final SIC is 0, a degenerate allocation
+  // that metrics/jain.h defines as perfectly fair.
+  ScaleScenario scenario = MakeScaleScenario(SmallOptions());
+  auto fsps = MakeScaleFederation(scenario);
+  ScaleDeployer deployer(fsps.get(), scenario);
+  for (const ScaleQuerySpec& spec : scenario.queries) {
+    if (spec.arrival == 0) {
+      ASSERT_TRUE(deployer.DeployQuery(spec));
+    }
+  }
+  ScaleRunResult r = CollectScaleResult(fsps.get());
+  ASSERT_FALSE(r.final_sics.empty());
+  for (double sic : r.final_sics) EXPECT_EQ(sic, 0.0);
+  EXPECT_EQ(r.mean_sic, 0.0);
+  EXPECT_EQ(r.jain, 1.0);
+}
+
 TEST(ScaleFederationTest, UndeployBetweenSegmentsUnderParallelEngine) {
   ScaleScenario scenario = MakeScaleScenario(SmallOptions());
   FspsOptions fo;

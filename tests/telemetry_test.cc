@@ -331,20 +331,23 @@ TEST(TelemetryAutoscalerLogTest, DecisionAuditLinesAreCaptured) {
   Telemetry telemetry;
   ScopedInstall install(&telemetry);
 
-  ElasticScenarioOptions eo;
-  eo.churn.scale.nodes = 16;
-  eo.churn.scale.clusters = 8;
-  eo.churn.scale.queries = 12;
-  eo.churn.scale.arrival_wave = 4;
-  eo.churn.churn_horizon = Seconds(20);
-  eo.churn.crashes_per_wave = 1;
-  eo.diurnal_period = Seconds(8);
-  eo.autoscaler.max_added_nodes = 8;
-  ElasticScenario scenario = MakeElasticScenario(eo);
+  ChurnScenarioOptions co;
+  co.scale.nodes = 16;
+  co.scale.clusters = 8;
+  co.scale.queries = 12;
+  co.scale.arrival_wave = 4;
+  co.scale.burst_prob = 0.10;
+  co.scale.diurnal_amplitude = 0.5;
+  co.scale.diurnal_period = Seconds(8);
+  co.churn_horizon = Seconds(20);
+  co.crashes_per_wave = 1;
+  ChurnScenario scenario = MakeChurnScenario(co);
+  AutoscalerOptions ao;
+  ao.max_added_nodes = 8;
   FspsOptions fo;
   fo.shards = 1;
   auto fsps = MakeElasticFederation(scenario, fo);
-  ElasticRunResult r = RunElasticScenario(fsps.get(), scenario, Seconds(5));
+  ElasticRunResult r = RunElasticScenario(fsps.get(), scenario, ao, Seconds(5));
   ASSERT_GT(r.autoscaler.ticks, 0u);
   ASSERT_GT(r.autoscaler.grow_actions, 0u);
 
