@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <map>
 
 #include "runtime/checkpoint.h"
 #include "runtime/columnar.h"
@@ -286,6 +285,10 @@ void AggregateOp::ProcessPane(const Pane& pane, std::vector<Tuple>* out) {
   out->push_back(std::move(result));
 }
 
+struct GroupByAggregateOp::Group {
+  Accumulator acc;
+};
+
 GroupByAggregateOp::GroupByAggregateOp(AggregateKind kind, int key_field,
                                        int value_field, WindowSpec spec,
                                        double cost_us_per_tuple)
@@ -295,20 +298,32 @@ GroupByAggregateOp::GroupByAggregateOp(AggregateKind kind, int key_field,
       key_field_(key_field),
       value_field_(value_field) {}
 
+GroupByAggregateOp::~GroupByAggregateOp() = default;
+
 void GroupByAggregateOp::ProcessPane(const Pane& pane,
                                      std::vector<Tuple>* out) {
-  std::map<int64_t, Accumulator> groups;
+  // A flat key-sorted table: each key accumulates in pane order and the
+  // output is in ascending key order, as with a per-pane ordered map.
+  keys_.clear();
+  groups_.clear();
   for (const Tuple& t : pane.tuples) {
     if (static_cast<size_t>(key_field_) >= t.values.size() ||
         static_cast<size_t>(value_field_) >= t.values.size()) {
       continue;
     }
-    groups[AsInt(t.values[key_field_])].Add(AsDouble(t.values[value_field_]));
+    const int64_t key = AsInt(t.values[key_field_]);
+    const size_t i =
+        std::lower_bound(keys_.begin(), keys_.end(), key) - keys_.begin();
+    if (i == keys_.size() || keys_[i] != key) {
+      keys_.insert(keys_.begin() + i, key);
+      groups_.insert(groups_.begin() + i, Group());
+    }
+    groups_[i].acc.Add(AsDouble(t.values[value_field_]));
   }
-  for (const auto& [key, acc] : groups) {
+  for (size_t i = 0; i < keys_.size(); ++i) {
     Tuple result;
-    result.values.push_back(key);
-    result.values.push_back(acc.Finish(kind_));
+    result.values.push_back(keys_[i]);
+    result.values.push_back(groups_[i].acc.Finish(kind_));
     out->push_back(std::move(result));
   }
 }

@@ -4,9 +4,11 @@
 #ifndef THEMIS_RUNTIME_OPERATORS_AGGREGATES_H_
 #define THEMIS_RUNTIME_OPERATORS_AGGREGATES_H_
 
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "runtime/operator.h"
 
@@ -78,14 +80,22 @@ class GroupByAggregateOp : public WindowedOperator {
   /// \param value_field index of the aggregated field
   GroupByAggregateOp(AggregateKind kind, int key_field, int value_field,
                      WindowSpec spec, double cost_us_per_tuple = 1.5);
+  ~GroupByAggregateOp() override;
 
  protected:
   void ProcessPane(const Pane& pane, std::vector<Tuple>* out) override;
 
  private:
+  struct Group;  // one key's accumulator (defined in the .cc)
+
   AggregateKind kind_;
   int key_field_;
   int value_field_;
+  // The pane's group keys in ascending order and their groups, reused
+  // across panes so ProcessPane does not allocate in steady state. The
+  // keys are a separate dense array to keep the binary search cheap.
+  std::vector<int64_t> keys_;
+  std::vector<Group> groups_;
 };
 
 /// Human-readable name ("avg", "max", ...) for diagnostics.

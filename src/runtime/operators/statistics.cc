@@ -10,16 +10,17 @@ namespace themis {
 
 namespace {
 
-// Collects the numeric values of `field` over a pane; skips short payloads.
-std::vector<double> FieldValues(const Pane& pane, int field) {
-  std::vector<double> xs;
-  xs.reserve(pane.tuples.size());
+// Collects the numeric values of `field` over a pane into `*xs`, the
+// operator's scratch (cleared first, capacity kept); skips short payloads.
+std::vector<double>& FieldValues(const Pane& pane, int field,
+                                 std::vector<double>* xs) {
+  xs->clear();
   for (const Tuple& t : pane.tuples) {
     if (static_cast<size_t>(field) < t.values.size()) {
-      xs.push_back(AsDouble(t.values[field]));
+      xs->push_back(AsDouble(t.values[field]));
     }
   }
-  return xs;
+  return *xs;
 }
 
 // Builds the operator name ("q50", "q99", ...) via append rather than
@@ -37,7 +38,7 @@ VarianceOp::VarianceOp(int field, WindowSpec spec, double cost_us_per_tuple)
     : WindowedOperator("variance", spec, cost_us_per_tuple), field_(field) {}
 
 void VarianceOp::ProcessPane(const Pane& pane, std::vector<Tuple>* out) {
-  std::vector<double> xs = FieldValues(pane, field_);
+  const std::vector<double>& xs = FieldValues(pane, field_, &scratch_);
   if (xs.empty()) return;
   double mean = 0.0;
   for (double x : xs) mean += x;
@@ -57,7 +58,7 @@ QuantileOp::QuantileOp(double q, int field, WindowSpec spec,
       field_(field) {}
 
 void QuantileOp::ProcessPane(const Pane& pane, std::vector<Tuple>* out) {
-  std::vector<double> xs = FieldValues(pane, field_);
+  std::vector<double>& xs = FieldValues(pane, field_, &scratch_);
   if (xs.empty()) return;
   // Nearest-rank definition: the ceil(q*n)-th smallest value.
   size_t rank = static_cast<size_t>(
@@ -94,7 +95,7 @@ EwmaOp::EwmaOp(double alpha, int field, WindowSpec spec,
       field_(field) {}
 
 void EwmaOp::ProcessPane(const Pane& pane, std::vector<Tuple>* out) {
-  std::vector<double> xs = FieldValues(pane, field_);
+  const std::vector<double>& xs = FieldValues(pane, field_, &scratch_);
   if (xs.empty()) return;
   double mean = 0.0;
   for (double x : xs) mean += x;
@@ -162,7 +163,7 @@ void DeltaOp::ReleaseState(BatchPool* pool) {
 }
 
 void DeltaOp::ProcessPane(const Pane& pane, std::vector<Tuple>* out) {
-  std::vector<double> xs = FieldValues(pane, field_);
+  const std::vector<double>& xs = FieldValues(pane, field_, &scratch_);
   if (xs.empty()) return;
   double mean = 0.0;
   for (double x : xs) mean += x;

@@ -5,6 +5,8 @@
 #ifndef THEMIS_RUNTIME_OPERATORS_STATISTICS_H_
 #define THEMIS_RUNTIME_OPERATORS_STATISTICS_H_
 
+#include <vector>
+
 #include "runtime/operator.h"
 
 namespace themis {
@@ -19,6 +21,7 @@ class VarianceOp : public WindowedOperator {
 
  private:
   int field_;
+  std::vector<double> scratch_;  // FieldValues() buffer, reused per pane
 };
 
 /// \brief Per-pane quantile (nearest-rank) of one field.
@@ -34,6 +37,7 @@ class QuantileOp : public WindowedOperator {
  private:
   double q_;
   int field_;
+  std::vector<double> scratch_;  // FieldValues() buffer, reused per pane
 };
 
 /// \brief Per-pane count of distinct integer keys.
@@ -73,6 +77,7 @@ class EwmaOp : public WindowedOperator {
   int field_;
   double state_ = 0.0;
   bool initialised_ = false;
+  std::vector<double> scratch_;  // FieldValues() buffer, reused per pane
 };
 
 /// \brief Difference between consecutive pane means (discrete derivative).
@@ -95,6 +100,7 @@ class DeltaOp : public WindowedOperator {
   int field_;
   double previous_ = 0.0;
   bool has_previous_ = false;
+  std::vector<double> scratch_;  // FieldValues() buffer, reused per pane
 };
 
 }  // namespace themis

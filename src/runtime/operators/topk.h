@@ -2,16 +2,18 @@
 #ifndef THEMIS_RUNTIME_OPERATORS_TOPK_H_
 #define THEMIS_RUNTIME_OPERATORS_TOPK_H_
 
+#include <vector>
+
 #include "runtime/operator.h"
 
 namespace themis {
 
 /// \brief Emits the k pane tuples with the largest value field, descending.
 ///
-/// Ties break on the smaller key to keep output deterministic. Output
-/// payloads are copies of the selected input payloads; an output rank field
-/// is not added (result comparisons use Kendall's distance over the id
-/// order, matching §7.1).
+/// Ties break on the smaller key to keep output deterministic. Tuples that
+/// lack the value or the key field are skipped. Output payloads are copies
+/// of the selected input payloads; an output rank field is not added (result
+/// comparisons use Kendall's distance over the id order, matching §7.1).
 class TopKOp : public WindowedOperator {
  public:
   /// \param k number of tuples to keep
@@ -27,6 +29,9 @@ class TopKOp : public WindowedOperator {
   size_t k_;
   int value_field_;
   int key_field_;
+  // Per-pane ranking scratch, reused so ProcessPane does not allocate in
+  // steady state.
+  std::vector<const Tuple*> ranked_;
 };
 
 }  // namespace themis

@@ -77,6 +77,13 @@ void WindowBuffer::Add(const Tuple& t) {
     }
     case WindowKind::kSlidingTime: {
       sliding_buf_.push_back(t);
+      // Fold a late tuple to the end of the last released pane, where it
+      // lands in as many unreleased panes as an on-time tuple.
+      if (slide_initialized_) {
+        const SimTime released = next_slide_end_ - spec_.slide;
+        Tuple& added = sliding_buf_.back();
+        if (added.timestamp < released) added.timestamp = released;
+      }
       break;
     }
     case WindowKind::kCount: {
@@ -130,6 +137,9 @@ std::vector<Pane> WindowBuffer::AdvanceSliding(SimTime watermark) {
     if (sliding_buf_.empty()) return out;
     // Align the first pane end on a slide boundary past the earliest tuple.
     SimTime first = sliding_buf_.front().timestamp;
+    for (size_t i = 1; i < sliding_buf_.size(); ++i) {
+      first = std::min(first, sliding_buf_[i].timestamp);
+    }
     next_slide_end_ = ((first / spec_.slide) + 1) * spec_.slide;
     slide_initialized_ = true;
   }
@@ -145,13 +155,12 @@ std::vector<Pane> WindowBuffer::AdvanceSliding(SimTime watermark) {
     p.start = start;
     p.end = end;
     p.tuples = TakeBuffer();
-    for (const Tuple& t : sliding_buf_) {
+    sliding_buf_.ForEach([&](const Tuple& t) {
       if (t.timestamp >= start && t.timestamp < end) {
-        Tuple copy = t;
-        copy.sic = t.sic / overlap;
-        p.tuples.push_back(std::move(copy));
+        p.tuples.push_back(t);
+        p.tuples.back().sic /= overlap;
       }
-    }
+    });
     // Tuples that will never appear in a future pane can be dropped.
     SimTime horizon = end + spec_.slide - spec_.range;
     while (!sliding_buf_.empty() && sliding_buf_.front().timestamp < horizon) {
@@ -183,7 +192,7 @@ void WindowBuffer::Checkpoint(CheckpointWriter* w) const {
     w->PutTuples(pane.tuples);
   }
   w->PutU32(static_cast<uint32_t>(sliding_buf_.size()));
-  for (const Tuple& t : sliding_buf_) w->PutTuple(t);
+  sliding_buf_.ForEach([w](const Tuple& t) { w->PutTuple(t); });
   w->PutI64(next_slide_end_);
   w->PutU8(slide_initialized_ ? 1 : 0);
   w->PutTuples(count_buf_);
@@ -246,8 +255,7 @@ void WindowBuffer::ReleaseState(BatchPool* pool) {
   cached_idx_ = -1;
   cached_pane_ = nullptr;
   released_up_to_ = 0;
-  sliding_buf_.clear();
-  sliding_buf_.shrink_to_fit();
+  sliding_buf_.Release();
   next_slide_end_ = 0;
   slide_initialized_ = false;
   pool->ReleaseTuples(std::move(count_buf_));

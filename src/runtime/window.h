@@ -5,10 +5,10 @@
 #ifndef THEMIS_RUNTIME_WINDOW_H_
 #define THEMIS_RUNTIME_WINDOW_H_
 
-#include <deque>
 #include <map>
 #include <vector>
 
+#include "common/ring_buffer.h"
 #include "common/time_types.h"
 #include "runtime/tuple.h"
 
@@ -49,7 +49,9 @@ struct Pane {
 ///
 /// For sliding windows, a tuple logically belongs to `range/slide` panes; per
 /// §6 ("SIC maintenance") its SIC value is divided across those panes so that
-/// SIC mass is conserved.
+/// SIC mass is conserved. A late sliding tuple (older than the end of the
+/// last released pane) is folded to that end, so it still lands in
+/// `range/slide` unreleased panes and its SIC is not lost.
 class WindowBuffer {
  public:
   explicit WindowBuffer(WindowSpec spec);
@@ -111,8 +113,8 @@ class WindowBuffer {
   int64_t cached_idx_ = -1;
   Pane* cached_pane_ = nullptr;
   SimTime released_up_to_ = 0;
-  // Sliding: time-ordered buffer; panes are cut at slide boundaries.
-  std::deque<Tuple> sliding_buf_;
+  // Sliding: tuples in arrival order; panes are cut at slide boundaries.
+  RingBuffer<Tuple> sliding_buf_;
   SimTime next_slide_end_ = 0;
   bool slide_initialized_ = false;
   // Count: current fill + panes completed during Add().

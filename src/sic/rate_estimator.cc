@@ -4,14 +4,6 @@
 
 namespace themis {
 
-void RateEstimator::Grow() {
-  size_t cap = ring_.empty() ? 64 : ring_.size() * 2;
-  std::vector<Sample> next(cap);
-  for (size_t i = 0; i < size_; ++i) next[i] = At(i);
-  ring_ = std::move(next);
-  head_ = 0;
-}
-
 void RateEstimator::Observe(SimTime now, size_t count) {
   if (first_observation_ < 0 ||
       (last_observation_ >= 0 && now - last_observation_ >= stw_)) {
@@ -21,24 +13,21 @@ void RateEstimator::Observe(SimTime now, size_t count) {
     first_observation_ = now;
   }
   last_observation_ = now;
-  if (size_ == ring_.size()) Grow();
-  ring_[(head_ + size_) & (ring_.size() - 1)] = {now, count};
-  ++size_;
+  ring_.push_back({now, count});
   in_window_ += count;
   Prune(now);
 }
 
 void RateEstimator::Prune(SimTime now) {
   SimTime horizon = now - stw_;
-  while (size_ > 0 && ring_[head_].time <= horizon) {
-    in_window_ -= ring_[head_].count;
-    head_ = (head_ + 1) & (ring_.size() - 1);
-    --size_;
+  while (!ring_.empty() && ring_.front().time <= horizon) {
+    in_window_ -= ring_.front().count;
+    ring_.pop_front();
   }
 }
 
 double RateEstimator::TuplesPerStw(SimTime now) const {
-  if (size_ == 0 || first_observation_ < 0) return 0.0;
+  if (ring_.empty() || first_observation_ < 0) return 0.0;
   SimTime elapsed = now - first_observation_;
   // Count arrivals currently inside (now - stw, now]. The common caller
   // (node ingress) asks at the same `now` it just observed at, so the whole
@@ -47,12 +36,12 @@ double RateEstimator::TuplesPerStw(SimTime now) const {
   // the integer sum and the double sum are bit-identical.
   SimTime horizon = now - stw_;
   double count;
-  if (ring_[head_].time > horizon) {
+  if (ring_.front().time > horizon) {
     count = static_cast<double>(in_window_);
   } else {
     count = 0.0;
-    for (size_t i = size_; i > 0; --i) {
-      const Sample& s = At(i - 1);
+    for (size_t i = ring_.size(); i > 0; --i) {
+      const Sample& s = ring_[i - 1];
       if (s.time <= horizon) break;
       count += static_cast<double>(s.count);
     }

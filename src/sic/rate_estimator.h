@@ -6,8 +6,8 @@
 #define THEMIS_SIC_RATE_ESTIMATOR_H_
 
 #include <cstddef>
-#include <vector>
 
+#include "common/ring_buffer.h"
 #include "common/time_types.h"
 
 namespace themis {
@@ -49,15 +49,9 @@ class RateEstimator {
   };
 
   void Prune(SimTime now);
-  void Grow();
-  const Sample& At(size_t i) const {  // i-th oldest in-window sample
-    return ring_[(head_ + i) & (ring_.size() - 1)];
-  }
 
   SimDuration stw_;
-  std::vector<Sample> ring_;  // power-of-two capacity
-  size_t head_ = 0;           // index of the oldest sample
-  size_t size_ = 0;           // live samples
+  RingBuffer<Sample> ring_;
   size_t in_window_ = 0;
   // Start of the current observation epoch. Reset after an idle gap of at
   // least one STW (a source pausing and rejoining, a node recovering): the

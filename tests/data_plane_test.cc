@@ -12,8 +12,12 @@
 
 #include "common/alloc_counter.h"
 #include "common/function.h"
+#include "common/rng.h"
 #include "federation/fsps.h"
 #include "runtime/batch_pool.h"
+#include "runtime/operators/aggregates.h"
+#include "runtime/operators/statistics.h"
+#include "runtime/operators/topk.h"
 #include "runtime/schema.h"
 #include "runtime/string_pool.h"
 #include "runtime/tuple.h"
@@ -287,6 +291,61 @@ TEST(AllocationRegressionTest, SteadyStateSingleNodeRunIsAllocationFree) {
   // ever letting per-tuple allocation churn back in.
   EXPECT_LT(per_tuple, 0.2) << "allocations per tuple regressed: allocs="
                             << allocs << " tuples=" << tuples;
+}
+
+// The server workload's sliding operators (250 ms panes sliding by 25 ms,
+// so every tuple lands in ten panes): after a warm-up second the sliding
+// ring, the recycled pane buffers and the per-operator scratch are all
+// reused, so ingesting and advancing make (almost) no heap allocation. A
+// std::deque<Tuple> sliding buffer alone made one allocation per 5 tuples.
+TEST(AllocationRegressionTest, SlidingOperatorsReuseTheirBuffers) {
+  ForceLinkAllocCounter();
+  ASSERT_TRUE(AllocCounter::active());
+
+  const WindowSpec window = WindowSpec::SlidingTime(Millis(250), Millis(25));
+  std::vector<std::unique_ptr<Operator>> ops;
+  ops.push_back(std::make_unique<AggregateOp>(AggregateKind::kAvg, 0, window));
+  ops.push_back(std::make_unique<QuantileOp>(0.99, 0, window));
+  ops.push_back(std::make_unique<TopKOp>(5, 0, 1, window));
+  ops.push_back(
+      std::make_unique<GroupByAggregateOp>(AggregateKind::kAvg, 1, 0, window));
+  Rng rng(5);
+  std::vector<Tuple> batch(100);
+  std::vector<Tuple> out;
+  uint64_t tuples = 0;
+  uint64_t results = 0;
+  // One second of 100-tuple batches every millisecond into every operator,
+  // advancing every 5 ms with a 20 ms grace.
+  auto run_second = [&](SimTime from) {
+    for (SimTime now = from; now < from + kSecond; now += Millis(1)) {
+      for (Tuple& t : batch) {
+        t.timestamp = now;
+        t.sic = 1e-6;
+        t.values.clear();
+        t.values.push_back(Value(rng.Uniform(0.0, 100.0)));
+        t.values.push_back(Value(rng.UniformInt(0, 15)));
+      }
+      for (auto& op : ops) {
+        op->Ingest(batch, 0);
+        tuples += batch.size();
+        if (now % Millis(5) == 0) {
+          out.clear();
+          op->Advance(now - Millis(20), &out);
+          results += out.size();
+        }
+      }
+    }
+  };
+  run_second(0);
+  tuples = 0;
+  results = 0;
+  const uint64_t allocs_before = AllocCounter::allocations();
+  run_second(kSecond);
+  const uint64_t allocs = AllocCounter::allocations() - allocs_before;
+
+  ASSERT_EQ(tuples, 400000u);
+  ASSERT_GT(results, 0u);
+  EXPECT_LT(allocs * 100, tuples) << "allocs=" << allocs;
 }
 
 }  // namespace

@@ -2,8 +2,15 @@
 // top-k, covariance, group-by).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <limits>
+#include <map>
 #include <memory>
+#include <vector>
 
+#include "common/rng.h"
 #include "runtime/operators/aggregates.h"
 #include "runtime/operators/covariance.h"
 #include "runtime/operators/filter_map.h"
@@ -161,6 +168,63 @@ TEST(TopKOpTest, FewerThanKInputs) {
   EXPECT_EQ(Advance(op, kSecond).size(), 1u);
 }
 
+TEST(TopKOpTest, SkipsTupleWithoutKeyField) {
+  // The tuple has the value field but not the key field, so it cannot be
+  // ranked and is skipped like a tuple without a value.
+  TopKOp op(5, /*value_field=*/0, /*key_field=*/1,
+            WindowSpec::TumblingTime(kSecond));
+  op.Ingest({T1(1, 10)}, 0);
+  EXPECT_TRUE(Advance(op, kSecond).empty());
+}
+
+// Bounded selection picks the same ranks as a full sort with the same
+// comparator. Values and keys come from small sets, so ties on the value and
+// on (value, key) are common; some tuples lack the key; field 2 is the input
+// position, so every output can be traced back to one distinct input.
+TEST(TopKOpTest, MatchesFullSortReference) {
+  Rng rng(7);
+  for (int round = 0; round < 60; ++round) {
+    const size_t n = static_cast<size_t>(rng.UniformInt(1, 40));
+    std::vector<Tuple> pane;
+    for (size_t i = 0; i < n; ++i) {
+      Tuple t(1, 0.01, {Value(static_cast<double>(rng.UniformInt(0, 6)))});
+      if (!rng.Bernoulli(0.1)) {
+        t.values.push_back(Value(rng.UniformInt(0, 4)));
+        t.values.push_back(Value(static_cast<int64_t>(i)));
+      }
+      pane.push_back(t);
+    }
+    std::vector<Tuple> ref;
+    for (const Tuple& t : pane) {
+      if (t.values.size() > 1) ref.push_back(t);
+    }
+    std::sort(ref.begin(), ref.end(), [](const Tuple& a, const Tuple& b) {
+      double va = AsDouble(a.values[0]);
+      double vb = AsDouble(b.values[0]);
+      if (va != vb) return va > vb;
+      return AsInt(a.values[1]) < AsInt(b.values[1]);
+    });
+    for (size_t k : {size_t{1}, size_t{5}, n, n + 3}) {
+      TopKOp op(k, /*value_field=*/0, /*key_field=*/1,
+                WindowSpec::TumblingTime(kSecond));
+      op.Ingest(pane, 0);
+      auto out = Advance(op, kSecond);
+      SCOPED_TRACE(testing::Message() << "round " << round << " k " << k);
+      ASSERT_EQ(out.size(), std::min(k, ref.size()));
+      std::vector<bool> used(n, false);
+      for (size_t i = 0; i < out.size(); ++i) {
+        EXPECT_EQ(AsDouble(out[i].values[0]), AsDouble(ref[i].values[0]));
+        EXPECT_EQ(AsInt(out[i].values[1]), AsInt(ref[i].values[1]));
+        const size_t pos = static_cast<size_t>(AsInt(out[i].values[2]));
+        ASSERT_LT(pos, n);
+        EXPECT_FALSE(used[pos]) << "input " << pos << " emitted twice";
+        used[pos] = true;
+        EXPECT_TRUE(out[i].values == pane[pos].values);
+      }
+    }
+  }
+}
+
 TEST(CovarianceOpTest, ComputesSampleCovariance) {
   CovarianceOp op(0, 0, WindowSpec::TumblingTime(kSecond));
   op.Ingest({T1(1, 1), T1(2, 2), T1(3, 3), T1(4, 4)}, 0);
@@ -187,6 +251,73 @@ TEST(GroupByAggregateOpTest, PerGroupAverage) {
   EXPECT_DOUBLE_EQ(AsDouble(out[0].values[1]), 15.0);
   EXPECT_EQ(AsInt(out[1].values[0]), 2);
   EXPECT_DOUBLE_EQ(AsDouble(out[1].values[1]), 100.0);
+}
+
+// The flat group table reproduces a per-pane std::map bit for bit. Keys
+// arrive in descending order, so every new key goes to the front; a second
+// sweep revisits them all; each key accumulates in pane order and the output
+// is in ascending key order.
+TEST(GroupByAggregateOpTest, DescendingKeysMatchMapReference) {
+  Rng rng(3);
+  std::vector<Tuple> pane;
+  for (int sweep = 0; sweep < 2; ++sweep) {
+    for (int64_t key = 40; key >= -5; --key) {
+      for (int rep = 0; rep < 3; ++rep) {
+        pane.push_back(T2(1, key, rng.Uniform(-1e3, 1e3)));
+      }
+    }
+  }
+  pane.push_back(T1(1, 7.0));  // no value field: skipped
+  for (AggregateKind kind :
+       {AggregateKind::kAvg, AggregateKind::kMax, AggregateKind::kMin,
+        AggregateKind::kSum, AggregateKind::kCount}) {
+    SCOPED_TRACE(AggregateKindName(kind));
+    struct Ref {
+      double sum = 0.0;
+      double mx = std::numeric_limits<double>::lowest();
+      double mn = std::numeric_limits<double>::max();
+      size_t n = 0;
+    };
+    std::map<int64_t, Ref> groups;
+    for (const Tuple& t : pane) {
+      if (t.values.size() < 2) continue;
+      Ref& g = groups[AsInt(t.values[0])];
+      double v = AsDouble(t.values[1]);
+      g.sum += v;
+      g.mx = std::max(g.mx, v);
+      g.mn = std::min(g.mn, v);
+      ++g.n;
+    }
+    GroupByAggregateOp op(kind, 0, 1, WindowSpec::TumblingTime(kSecond));
+    op.Ingest(pane, 0);
+    auto out = Advance(op, kSecond);
+    ASSERT_EQ(out.size(), groups.size());
+    size_t i = 0;
+    for (const auto& [key, g] : groups) {
+      double want = 0.0;
+      switch (kind) {
+        case AggregateKind::kAvg:
+          want = g.sum / static_cast<double>(g.n);
+          break;
+        case AggregateKind::kMax:
+          want = g.mx;
+          break;
+        case AggregateKind::kMin:
+          want = g.mn;
+          break;
+        case AggregateKind::kSum:
+          want = g.sum;
+          break;
+        case AggregateKind::kCount:
+          want = static_cast<double>(g.n);
+          break;
+      }
+      const double got = AsDouble(out[i].values[1]);
+      EXPECT_EQ(AsInt(out[i].values[0]), key);
+      EXPECT_EQ(std::bit_cast<uint64_t>(got), std::bit_cast<uint64_t>(want));
+      ++i;
+    }
+  }
 }
 
 // Property sweep: for every aggregate kind, one pane in -> exactly one tuple

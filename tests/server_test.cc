@@ -13,6 +13,8 @@
 #include "runtime/clock.h"
 #include "runtime/operators/aggregates.h"
 #include "runtime/operators/receiver.h"
+#include "runtime/operators/statistics.h"
+#include "runtime/operators/topk.h"
 #include "server/channel.h"
 #include "server/scheduler.h"
 #include "server/server_pipeline.h"
@@ -301,6 +303,82 @@ TEST(ServerPipelineTest, SourceBackpressureBlocksAndResumes) {
   EXPECT_TRUE(unblocked.load(std::memory_order_acquire));
   p.Stop();
   EXPECT_EQ(p.stats().tuples_received, 260u);
+}
+
+// The server workload's four sliding operators on two live workers: every
+// query delivers results, and under TSan the per-operator window ring and
+// scratch show no race (one ExecNode task owns each operator and runs one
+// slice at a time).
+TEST(ServerPipelineTest, SlidingOperatorsDeliverOnTwoWorkers) {
+  const WindowSpec window = WindowSpec::SlidingTime(Millis(250), Millis(25));
+  std::vector<std::unique_ptr<QueryGraph>> graphs;
+  for (QueryId q = 0; q < 4; ++q) {
+    std::unique_ptr<Operator> op;
+    switch (q) {
+      case 0:
+        op = std::make_unique<AggregateOp>(AggregateKind::kAvg, 0, window);
+        break;
+      case 1:
+        op = std::make_unique<QuantileOp>(0.99, 0, window);
+        break;
+      case 2:
+        op = std::make_unique<TopKOp>(5, 0, 1, window);
+        break;
+      default:
+        op = std::make_unique<GroupByAggregateOp>(AggregateKind::kAvg, 1, 0,
+                                                  window);
+        break;
+    }
+    QueryBuilder b(q, "sliding");
+    OperatorId recv = b.Add(std::make_unique<ReceiverOp>(), 0);
+    OperatorId mid = b.Add(std::move(op), 0);
+    OperatorId out = b.Add(std::make_unique<OutputOp>(), 0);
+    b.Connect(recv, mid)
+        .Connect(mid, out)
+        .BindSource(10 + q, recv)
+        .SetRoot(out);
+    graphs.push_back(std::move(b.Build()).TakeValue());
+  }
+
+  ManualClock clock;
+  ServerOptions opts;
+  opts.workers = 2;
+  opts.window_grace = Millis(20);
+  ServerPipeline p(opts, &clock, std::make_unique<BalanceSicShedder>(Rng(1)));
+  for (const auto& g : graphs) p.AddQuery(g.get());
+  p.Start();
+
+  // One simulated second of 50-tuple batches every 5 ms per query.
+  for (SimTime now = 0; now < kSecond; now += Millis(5)) {
+    clock.AdvanceTo(now);
+    for (QueryId q = 0; q < 4; ++q) {
+      std::vector<Tuple> ts;
+      for (int i = 0; i < 50; ++i) {
+        const double v = static_cast<double>((now / 1000 + i) % 97);
+        ts.push_back(Tuple(now, 0.0, {Value(v), Value(int64_t{i % 8})}));
+      }
+      Batch b = MakeBatch(q, /*op=*/0, /*port=*/0, now, std::move(ts));
+      b.header.source = 10 + q;
+      ASSERT_TRUE(p.Push(std::move(b)));
+    }
+  }
+  clock.AdvanceTo(2 * kSecond);
+  p.WaitIdle();
+  auto all_delivered = [&] {
+    for (QueryId q = 0; q < 4; ++q) {
+      if (p.ResultTuplesTotal(q) == 0) return false;
+    }
+    return true;
+  };
+  for (int i = 0; i < 5000 && !all_delivered(); ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  p.Stop();
+
+  EXPECT_EQ(p.stats().tuples_received, 4u * 200u * 50u);
+  for (QueryId q = 0; q < 4; ++q) {
+    EXPECT_GT(p.ResultTuplesTotal(q), 0u) << "query " << q;
+  }
 }
 
 }  // namespace
