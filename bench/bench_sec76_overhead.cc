@@ -40,8 +40,8 @@ std::deque<Batch> MakeBuffer(int queries, int batches_per_query, Rng* rng) {
   return ib;
 }
 
-std::map<QueryId, double> MakeQuerySic(int queries, Rng* rng) {
-  std::map<QueryId, double> out;
+std::vector<double> MakeQuerySic(int queries, Rng* rng) {
+  std::vector<double> out(queries);
   for (int q = 0; q < queries; ++q) out[q] = rng->Uniform(0.0, 0.6);
   return out;
 }

@@ -4,7 +4,9 @@
 // through shared_ptr (one control-block allocation per simulated network
 // message). UniqueFunction accepts move-only captures — a Batch moves
 // through the scheduler — and stores callables up to kInlineSize bytes
-// inline, so scheduling an event does not allocate.
+// inline, so scheduling an event does not allocate. A callable lives either
+// inline or on the heap, never both, so the heap pointer shares the inline
+// buffer and the wrapper stays 80 bytes.
 #ifndef THEMIS_COMMON_FUNCTION_H_
 #define THEMIS_COMMON_FUNCTION_H_
 
@@ -19,8 +21,18 @@ namespace themis {
 class UniqueFunction {
  public:
   /// Inline storage size; sized for a lambda capturing a node pointer plus a
-  /// moved Batch (the hottest event payload in the simulator).
-  static constexpr size_t kInlineSize = 64;
+  /// moved Batch (the network hop, the hottest event payload in the
+  /// simulator).
+  static constexpr size_t kInlineSize = 72;
+  /// Inline storage alignment: pointer-aligned, so that the buffer plus the
+  /// vtable pointer pack into 80 bytes. Over-aligned callables go to the heap.
+  static constexpr size_t kInlineAlign = alignof(void*);
+
+  /// Whether a callable of type `Fn` is stored inline (no allocation).
+  template <typename Fn>
+  static constexpr bool kFitsInline =
+      sizeof(Fn) <= kInlineSize && alignof(Fn) <= kInlineAlign &&
+      std::is_nothrow_move_constructible_v<Fn>;
 
   UniqueFunction() = default;
   UniqueFunction(std::nullptr_t) {}  // NOLINT
@@ -68,11 +80,6 @@ class UniqueFunction {
   };
 
   template <typename Fn>
-  static constexpr bool kFitsInline =
-      sizeof(Fn) <= kInlineSize && alignof(Fn) <= alignof(std::max_align_t) &&
-      std::is_nothrow_move_constructible_v<Fn>;
-
-  template <typename Fn>
   static void InvokeImpl(void* target) {
     (*static_cast<Fn*>(target))();
   }
@@ -85,7 +92,6 @@ class UniqueFunction {
       src->~Fn();
     } else {
       to_fn->heap_ = from_fn->heap_;
-      from_fn->heap_ = nullptr;
     }
   }
 
@@ -105,30 +111,32 @@ class UniqueFunction {
     return &vt;
   }
 
-  void* Target() {
-    return vtable_ != nullptr && vtable_->inline_stored
-               ? static_cast<void*>(storage_)
-               : heap_;
+  void* Target() {  // callers ensure vtable_ != nullptr
+    return vtable_->inline_stored ? static_cast<void*>(storage_) : heap_;
   }
 
   void Reset() {
     if (vtable_ == nullptr) return;
     vtable_->destroy(Target());
     vtable_ = nullptr;
-    heap_ = nullptr;
   }
 
   void MoveFrom(UniqueFunction& other) noexcept {
     vtable_ = other.vtable_;
     if (vtable_ != nullptr) vtable_->relocate(this, &other);
     other.vtable_ = nullptr;
-    other.heap_ = nullptr;
   }
 
-  alignas(std::max_align_t) unsigned char storage_[kInlineSize];
-  void* heap_ = nullptr;
+  // Inline target or heap pointer; `vtable_->inline_stored` says which.
+  union {
+    alignas(kInlineAlign) unsigned char storage_[kInlineSize];
+    void* heap_;
+  };
   const VTable* vtable_ = nullptr;
 };
+
+static_assert(sizeof(UniqueFunction) == 80,
+              "UniqueFunction sits in every event-queue slot");
 
 }  // namespace themis
 

@@ -58,11 +58,7 @@ Fsps::Fsps(FspsOptions options)
 
 Fsps::~Fsps() = default;
 
-NodeId Fsps::AddNode() {
-  Result<NodeId> id = AddNode(options_.node, kAutoShard);
-  THEMIS_CHECK(id.ok());
-  return *id;
-}
+NodeId Fsps::AddNode() { return AddNode(options_.node); }
 
 NodeId Fsps::AddNode(NodeOptions node_options) {
   Result<NodeId> id = AddNode(node_options, kAutoShard);
@@ -180,11 +176,14 @@ Status Fsps::Deploy(std::unique_ptr<QueryGraph> graph,
                     const std::map<FragmentId, NodeId>& placement) {
   if (!graph) return Status::InvalidArgument("null query graph");
   QueryId q = graph->id();
-  if (graphs_.count(q) > 0) {
+  if (deployed(q) != nullptr) {
     return Status::AlreadyExists("query " + std::to_string(q) +
                                  " already deployed");
   }
-  for (FragmentId frag : graph->fragment_ids()) {
+  // Build() guarantees at least one fragment, all ids non-negative.
+  const std::vector<FragmentId> frags = graph->fragment_ids();
+  std::vector<NodeId> node_of(frags.back() + 1, kInvalidId);
+  for (FragmentId frag : frags) {
     auto it = placement.find(frag);
     if (it == placement.end()) {
       return Status::InvalidArgument("fragment " + std::to_string(frag) +
@@ -199,39 +198,37 @@ Status Fsps::Deploy(std::unique_ptr<QueryGraph> graph,
       return Status::InvalidArgument("fragment placed on crashed node " +
                                      std::to_string(it->second));
     }
+    node_of[frag] = it->second;
   }
 
   // The coordinator is co-located with the root fragment's node: it runs on
   // that node's shard queue, and result delivery (a direct call from the
   // root operator's host) therefore stays shard-local.
-  NodeId home = placement.at(graph->root_fragment());
-  QueryCoordinator::Options copts = options_.coordinator;
+  NodeId home = node_of[graph->root_fragment()];
   auto coordinator = std::make_unique<QueryCoordinator>(
-      graph.get(), copts, engine_->queue(shard_of_node_[home]), &network_);
+      graph.get(), options_.coordinator, engine_->queue(shard_of_node_[home]),
+      &network_);
   coordinator->SetHome(home);
-
-  for (FragmentId frag : graph->fragment_ids()) {
-    NodeId nid = placement.at(frag);
+  for (FragmentId frag : frags) {
+    NodeId nid = node_of[frag];
     nodes_[nid]->HostFragment(graph.get(), frag);
     coordinator->AddHost(nid, nodes_[nid].get());
   }
+  if (started_) coordinator->Start();
 
-  placements_[q] = placement;
-  coordinators_[q] = std::move(coordinator);
-  graphs_[q] = std::move(graph);
-  if (started_) coordinators_[q]->Start();
+  if (static_cast<size_t>(q) >= queries_.size()) queries_.resize(q + 1);
+  queries_[q] = {std::move(graph), std::move(node_of), std::move(coordinator)};
   return Status::OK();
 }
 
 Status Fsps::AttachSources(QueryId q,
                            const std::map<SourceId, SourceModel>& models,
                            const SourceModel& fallback) {
-  auto git = graphs_.find(q);
-  if (git == graphs_.end()) {
+  const DeployedQuery* dq = deployed(q);
+  if (dq == nullptr) {
     return Status::NotFound("query " + std::to_string(q) + " not deployed");
   }
-  const QueryGraph* graph = git->second.get();
-  const auto& placement = placements_.at(q);
+  const QueryGraph* graph = dq->graph.get();
 
   for (const SourceBinding& sb : graph->sources()) {
     SourceModel model = fallback;
@@ -240,12 +237,16 @@ Status Fsps::AttachSources(QueryId q,
     }
     if (options_.columnar) model.columnar = true;
 
-    NodeId dest = placement.at(graph->fragment_of(sb.target));
+    // An operator never changes fragment, so the receiving fragment binds
+    // here; RouteBatch resolves its host per batch, so generated traffic
+    // follows the fragment when a crash re-places it. The kInvalidId sender
+    // makes Network::Send route on the destination's shard, which is where
+    // the source runs (each source is pinned to its destination's shard).
+    FragmentId frag = graph->fragment_of(sb.target);
+    NodeId dest = dq->node_of[frag];
     Node* dest_node = nodes_[dest].get();
-    // Delivery resolves the receiver's placement per batch, so generated
-    // traffic follows the fragment when a crash re-places it.
-    auto deliver = [this, q, target = sb.target](Batch b) {
-      RouteSourceBatch(q, target, std::move(b));
+    auto deliver = [this, q, frag](Batch b) {
+      RouteBatch(kInvalidId, q, frag, std::move(b));
     };
     // The driver is pinned to its *initial* destination node's shard: it
     // draws from that node's batch pool at generation time, and its
@@ -261,44 +262,33 @@ Status Fsps::AttachSources(QueryId q,
   return Status::OK();
 }
 
-void Fsps::RouteSourceBatch(QueryId q, OperatorId target, Batch batch) {
-  auto git = graphs_.find(q);
-  if (git == graphs_.end()) return;
-  // kInvalidId sender: Network::Send routes on the destination's shard,
-  // which is the source driver's own (drivers are destination-pinned).
-  RouteBatch(kInvalidId, q, git->second->fragment_of(target),
-             std::move(batch));
-}
-
 Status Fsps::Undeploy(QueryId q) {
-  auto git = graphs_.find(q);
-  if (git == graphs_.end()) {
+  DeployedQuery* dq = deployed(q);
+  if (dq == nullptr) {
     return Status::NotFound("query " + std::to_string(q) + " not deployed");
   }
   for (auto& src : sources_) {
     if (src->query_id() == q) src->Stop();
   }
-  for (const auto& [frag, node_id] : placements_.at(q)) {
+  for (FragmentId frag = 0; frag < static_cast<FragmentId>(dq->node_of.size());
+       ++frag) {
+    NodeId node_id = dq->node_of[frag];
+    if (node_id == kInvalidId) continue;
     // The graph below is retired, not destroyed — without this, every
     // undeployed query's window panes and batch buffers would stay resident
     // for the rest of the run. Hand them back to the hosting node's pool
     // before the fragment is unhosted.
-    for (OperatorId oid : git->second->fragment_ops(frag)) {
-      git->second->op(oid)->ReleaseState(nodes_[node_id]->batch_pool());
+    for (OperatorId oid : dq->graph->fragment_ops(frag)) {
+      dq->graph->op(oid)->ReleaseState(nodes_[node_id]->batch_pool());
     }
     nodes_[node_id]->UnhostQuery(q);
   }
   // Checkpoint images of a departed query are dead weight; drop them.
   for (auto& n : nodes_) n->checkpoint_store()->EraseQuery(q);
-  auto cit = coordinators_.find(q);
-  if (cit != coordinators_.end()) {
-    cit->second->Stop();
-    retired_coordinators_.push_back(std::move(cit->second));
-    coordinators_.erase(cit);
-  }
-  retired_graphs_.push_back(std::move(git->second));
-  graphs_.erase(git);
-  placements_.erase(q);
+  dq->coordinator->Stop();
+  retired_coordinators_.push_back(std::move(dq->coordinator));
+  retired_graphs_.push_back(std::move(dq->graph));
+  *dq = DeployedQuery{};
   return Status::OK();
 }
 
@@ -334,7 +324,9 @@ void Fsps::Start() {
     engine_->SetLookahead(lookahead);
   }
   for (const auto& n : nodes_) n->Start();
-  for (auto& [q, coord] : coordinators_) coord->Start();
+  for (DeployedQuery& dq : queries_) {
+    if (dq.coordinator) dq.coordinator->Start();
+  }
   for (auto& src : sources_) src->Start();
 }
 
@@ -400,9 +392,8 @@ void Fsps::RunFor(SimDuration d) {
 
 void Fsps::SampleRecovery() {
   std::vector<std::pair<QueryId, double>> sics;
-  sics.reserve(coordinators_.size());
-  for (auto& [q, coord] : coordinators_) {
-    sics.emplace_back(q, coord->CurrentSic());
+  for (QueryId q : query_ids()) {
+    sics.emplace_back(q, queries_[q].coordinator->CurrentSic());
   }
   // Mirror each accepted Jain sample into the telemetry snapshot path
   // (the tracker de-duplicates repeated instants).
@@ -518,34 +509,27 @@ Status Fsps::ApplyPlan(const TopologyPlan& plan) {
   // Phase 2: commit in order. The only Status left is Rebalance's
   // commit-time epoch-width check (see topology_plan.h).
   telemetry::TraceScope commit_span("plan.commit");
+  static constexpr const char* kOpCounters[] = {  // indexed by OpKind
+      "plan.ops.crash", "plan.ops.restore", "plan.ops.set_link",
+      "plan.ops.add_node", "plan.ops.rebalance"};
   for (const TopologyPlan::Op& op : plan.ops_) {
+    if (tel != nullptr) {
+      tel->metrics().GetCounter(kOpCounters[static_cast<int>(op.kind)])->Add(1);
+    }
     switch (op.kind) {
       case TopologyPlan::OpKind::kCrash:
-        if (tel != nullptr) tel->metrics().GetCounter("plan.ops.crash")->Add(1);
         CrashNodeNow(op.a);
         break;
       case TopologyPlan::OpKind::kRestore:
-        if (tel != nullptr) {
-          tel->metrics().GetCounter("plan.ops.restore")->Add(1);
-        }
         RestoreNodeNow(op.a);
         break;
       case TopologyPlan::OpKind::kSetLink:
-        if (tel != nullptr) {
-          tel->metrics().GetCounter("plan.ops.set_link")->Add(1);
-        }
         SetLinkLatencyNow(op.a, op.b, op.latency);
         break;
       case TopologyPlan::OpKind::kAddNode:
-        if (tel != nullptr) {
-          tel->metrics().GetCounter("plan.ops.add_node")->Add(1);
-        }
         AddNodeNow(op.node_options, op.shard);
         break;
       case TopologyPlan::OpKind::kRebalance:
-        if (tel != nullptr) {
-          tel->metrics().GetCounter("plan.ops.rebalance")->Add(1);
-        }
         THEMIS_RETURN_NOT_OK(RebalanceNow(op.group_of_node));
         break;
     }
@@ -565,15 +549,13 @@ void Fsps::CrashNodeNow(NodeId id) {
   churn_stats_.crashes += 1;
   topology_dirty_ = true;
   // Re-place the orphaned fragments query by query, in ascending query-id
-  // order (placements_ is an ordered map) for determinism. Collect first:
-  // ReplaceOrphans mutates placements_ (force-undeploy erases entries).
+  // order for determinism. Collect first: ReplaceOrphans mutates the table
+  // (force-undeploy frees entries).
   std::vector<QueryId> affected;
-  for (const auto& [q, placement] : placements_) {
-    for (const auto& [frag, nid] : placement) {
-      if (nid == id) {
-        affected.push_back(q);
-        break;
-      }
+  for (QueryId q : query_ids()) {
+    const std::vector<NodeId>& node_of = queries_[q].node_of;
+    if (std::find(node_of.begin(), node_of.end(), id) != node_of.end()) {
+      affected.push_back(q);
     }
   }
   for (QueryId q : affected) ReplaceOrphans(q, id);
@@ -689,15 +671,15 @@ Status Fsps::RebalanceNow(const std::vector<int>& group_of_node) {
   }
   shard_of_node_ = new_map;
   network_.UpdateShardMap(shard_of_node_);
-  for (auto& [q, coord] : coordinators_) {
+  for (QueryId q : query_ids()) {
+    QueryCoordinator* coord = queries_[q].coordinator.get();
     coord->MigrateQueue(engine_->queue(shard_of_node_[coord->home()]));
   }
   for (auto& src : sources_) {
     if (src->stopped()) continue;
-    auto git = graphs_.find(src->query_id());
-    if (git == graphs_.end()) continue;
-    NodeId dest = placements_.at(src->query_id())
-                      .at(git->second->fragment_of(src->target_op()));
+    const DeployedQuery* dq = deployed(src->query_id());
+    if (dq == nullptr) continue;
+    NodeId dest = dq->node_of[dq->graph->fragment_of(src->target_op())];
     src->Rehome(engine_->queue(shard_of_node_[dest]),
                 nodes_[dest]->batch_pool());
   }
@@ -711,9 +693,9 @@ Status Fsps::RebalanceNow(const std::vector<int>& group_of_node) {
 }
 
 void Fsps::ReplaceOrphans(QueryId q, NodeId crashed) {
-  auto& placement = placements_.at(q);
-  const QueryGraph* graph = graphs_.at(q).get();
-  QueryCoordinator* coord = coordinators_.at(q).get();
+  std::vector<NodeId>& node_of = queries_[q].node_of;
+  const QueryGraph* graph = queries_[q].graph.get();
+  QueryCoordinator* coord = queries_[q].coordinator.get();
 
   // Candidates: live nodes — restricted to the crashed node's simulation
   // shard when sharded, because the query's source drivers and coordinator
@@ -738,8 +720,8 @@ void Fsps::ReplaceOrphans(QueryId q, NodeId crashed) {
   // distinct-node guarantee is re-established against the live set, and
   // co-location is a last resort when every candidate already hosts one.
   std::set<NodeId> occupied;
-  for (const auto& [frag, nid] : placement) {
-    if (nid != crashed) occupied.insert(nid);
+  for (NodeId nid : node_of) {
+    if (nid != kInvalidId && nid != crashed) occupied.insert(nid);
   }
 
   // kSicAware: rank the candidates by their live overload signal plus the
@@ -766,10 +748,7 @@ void Fsps::ReplaceOrphans(QueryId q, NodeId crashed) {
       }
       loads.push_back({c, NodeLoadSignal(c, now) + inflight});
     }
-    size_t orphans = 0;
-    for (const auto& [frag, nid] : placement) {
-      if (nid == crashed) ++orphans;
-    }
+    auto orphans = std::count(node_of.begin(), node_of.end(), crashed);
     if (orphans > 0) {
       // The projected mass must be in the same unit as the ranking signal.
       double carried =
@@ -780,8 +759,9 @@ void Fsps::ReplaceOrphans(QueryId q, NodeId crashed) {
     }
   }
 
-  for (auto& [frag, nid] : placement) {
-    if (nid != crashed) continue;
+  for (FragmentId frag = 0; frag < static_cast<FragmentId>(node_of.size());
+       ++frag) {
+    if (node_of[frag] != crashed) continue;
     NodeId target = kInvalidId;
     if (options_.replacement == ReplacementPolicy::kSicAware) {
       target = ChooseLeastLoaded(loads, occupied);
@@ -808,7 +788,7 @@ void Fsps::ReplaceOrphans(QueryId q, NodeId crashed) {
         replacement_cursor_ = (replacement_cursor_ + 1) % candidates.size();
       }
     }
-    nid = target;
+    node_of[frag] = target;
     occupied.insert(target);
     // Crash-time state semantics. Operator state (windows, panes) lives in
     // the shared QueryGraph, so hosting the fragment elsewhere as-is would
@@ -845,7 +825,7 @@ void Fsps::ReplaceOrphans(QueryId q, NodeId crashed) {
     // The root fragment moved with the rest; dissemination latencies now
     // originate from its new host (same shard, so the coordinator's event
     // queue stays valid).
-    coord->SetHome(placement.at(graph->root_fragment()));
+    coord->SetHome(node_of[graph->root_fragment()]);
   }
 }
 
@@ -863,19 +843,20 @@ double Fsps::NodeLoadSignal(NodeId id, SimTime now) {
 
 std::vector<QueryId> Fsps::query_ids() const {
   std::vector<QueryId> ids;
-  ids.reserve(graphs_.size());
-  for (const auto& [q, graph] : graphs_) ids.push_back(q);
+  for (size_t q = 0; q < queries_.size(); ++q) {
+    if (queries_[q].graph) ids.push_back(static_cast<QueryId>(q));
+  }
   return ids;
 }
 
 const QueryGraph* Fsps::graph(QueryId q) const {
-  auto it = graphs_.find(q);
-  return it == graphs_.end() ? nullptr : it->second.get();
+  if (q < 0 || static_cast<size_t>(q) >= queries_.size()) return nullptr;
+  return queries_[q].graph.get();
 }
 
 QueryCoordinator* Fsps::coordinator(QueryId q) {
-  auto it = coordinators_.find(q);
-  return it == coordinators_.end() ? nullptr : it->second.get();
+  DeployedQuery* dq = deployed(q);
+  return dq == nullptr ? nullptr : dq->coordinator.get();
 }
 
 double Fsps::QuerySic(QueryId q) {
@@ -885,8 +866,9 @@ double Fsps::QuerySic(QueryId q) {
 
 std::vector<double> Fsps::AllQuerySics() {
   std::vector<double> sics;
-  sics.reserve(coordinators_.size());
-  for (auto& [q, coord] : coordinators_) sics.push_back(coord->CurrentSic());
+  for (QueryId q : query_ids()) {
+    sics.push_back(queries_[q].coordinator->CurrentSic());
+  }
   return sics;
 }
 
@@ -916,22 +898,30 @@ size_t Fsps::BatchBytes(const Batch& b) {
 
 void Fsps::RouteBatch(NodeId from, QueryId query, FragmentId to_fragment,
                       Batch batch) {
-  auto pit = placements_.find(query);
-  if (pit == placements_.end()) return;
-  auto fit = pit->second.find(to_fragment);
-  if (fit == pit->second.end()) return;
-  NodeId dest = fit->second;
+  const DeployedQuery* dq = deployed(query);
+  if (dq == nullptr ||
+      static_cast<size_t>(to_fragment) >= dq->node_of.size()) {
+    return;
+  }
+  NodeId dest = dq->node_of[to_fragment];
+  if (dest == kInvalidId) return;
   Node* dest_node = nodes_[dest].get();
   size_t bytes = BatchBytes(batch);
-  network_.Send(from, dest, bytes, [dest_node, b = std::move(batch)]() mutable {
+  auto hop = [dest_node, b = std::move(batch)]() mutable {
     dest_node->Receive(std::move(b));
-  });
+  };
+  // Every simulated message runs this closure: stored inline, a hop does
+  // not allocate.
+  static_assert(UniqueFunction::kFitsInline<decltype(hop)>,
+                "the network hop closure must fit UniqueFunction inline");
+  network_.Send(from, dest, bytes, std::move(hop));
 }
 
 void Fsps::DeliverResult(QueryId query, SimTime now,
                          const std::vector<Tuple>& results) {
-  auto it = coordinators_.find(query);
-  if (it != coordinators_.end()) it->second->OnResult(now, results);
+  if (DeployedQuery* dq = deployed(query)) {
+    dq->coordinator->OnResult(now, results);
+  }
 }
 
 }  // namespace themis

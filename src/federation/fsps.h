@@ -268,9 +268,6 @@ class Fsps : public BatchRouter {
   Status RebalanceNow(const std::vector<int>& group_of_node);
   /// Estimated wire size of a batch (tuple payloads + the 10-byte header).
   static size_t BatchBytes(const Batch& b);
-  /// Source-batch delivery with a placement lookup per batch, so sources
-  /// follow their receiver fragment when it is re-placed after a crash.
-  void RouteSourceBatch(QueryId q, OperatorId target, Batch batch);
   /// Moves query `q`'s fragments off `crashed` onto live nodes (same shard
   /// when sharded), or force-undeploys `q` when none exist.
   void ReplaceOrphans(QueryId q, NodeId crashed);
@@ -298,9 +295,21 @@ class Fsps : public BatchRouter {
   Network network_;
   std::vector<int> shard_of_node_;
   std::vector<std::unique_ptr<Node>> nodes_;
-  std::map<QueryId, std::unique_ptr<QueryGraph>> graphs_;
-  std::map<QueryId, std::map<FragmentId, NodeId>> placements_;
-  std::map<QueryId, std::unique_ptr<QueryCoordinator>> coordinators_;
+  /// A deployed query: its graph, the host of each fragment and its
+  /// coordinator.
+  struct DeployedQuery {
+    std::unique_ptr<QueryGraph> graph;
+    /// Indexed by FragmentId; kInvalidId where the graph has no fragment.
+    std::vector<NodeId> node_of;
+    std::unique_ptr<QueryCoordinator> coordinator;
+  };
+  /// The query `q` deployed here, or null.
+  DeployedQuery* deployed(QueryId q) {
+    return graph(q) != nullptr ? &queries_[q] : nullptr;
+  }
+  // Indexed by QueryId (entries with a null graph are free) and walked in
+  // ascending id, which the deterministic event sequence relies on.
+  std::vector<DeployedQuery> queries_;
   // Undeployed queries' coordinators and graphs are retired, not destroyed:
   // already-scheduled timer events and in-flight batches may still hold
   // pointers into them until the event queue drains past them.

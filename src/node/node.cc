@@ -24,19 +24,21 @@ void Node::HostFragment(const QueryGraph* graph, FragmentId fragment) {
   if (static_cast<size_t>(q) >= hosted_.size()) {
     hosted_.resize(q + 1);
   }
-  hosted_fragments_[q].insert(fragment);
-
-  // Rebuild the flattened pump order and hosted-operator flags from the
-  // fragment set (ascending fragments, topo order within a fragment).
   HostedState& hs = hosted_[q];
-  hs.graph = graph;
+  if (hs.graph != graph) {
+    hs = HostedState{};
+    hs.graph = graph;
+    hs.hosted_op.assign(graph->num_operators(), 0);
+  }
+  for (OperatorId op : graph->fragment_ops(fragment)) hs.hosted_op[op] = 1;
+
+  // Rebuild the flattened pump order from the hosted fragments (ascending
+  // fragments, topo order within a fragment).
   hs.pump_ops.clear();
-  hs.hosted_op.assign(graph->num_operators(), 0);
-  for (FragmentId frag : hosted_fragments_[q]) {
-    for (OperatorId op : graph->fragment_ops(frag)) {
-      hs.pump_ops.push_back(op);
-      hs.hosted_op[op] = 1;
-    }
+  for (FragmentId frag : graph->fragment_ids()) {
+    const std::vector<OperatorId>& ops = graph->fragment_ops(frag);
+    if (hs.hosted_op[ops.front()] == 0) continue;
+    hs.pump_ops.insert(hs.pump_ops.end(), ops.begin(), ops.end());
   }
 }
 
@@ -44,9 +46,7 @@ void Node::UnhostQuery(QueryId q) {
   if (q >= 0 && static_cast<size_t>(q) < hosted_.size()) {
     hosted_[q] = HostedState{};
   }
-  hosted_fragments_.erase(q);
   ctl_.RemoveQuery(q);
-  arrival_tuples_.erase(q);
   stamper_.RemoveQuery(q);
   ib_.RemoveQuery(q);
 }
@@ -128,7 +128,7 @@ void Node::Receive(Batch batch) {
   stats_.batches_received += 1;
   stats_.tuples_received += batch.size();
 
-  const HostedState* hs = hosted_state(batch.header.query_id);
+  HostedState* hs = hosted_state(batch.header.query_id);
   if (hs == nullptr) {
     // Unknown query: either never hosted here or undeployed while this
     // batch was in flight. Drop at ingress (recycling the buffer).
@@ -143,8 +143,10 @@ void Node::Receive(Batch batch) {
   // Offered-load accounting (before admission: shed tuples still count —
   // the placement signal should see demand, not the shedder's verdict).
   if (options_.track_arrivals) {
-    arrival_tuples_.try_emplace(batch.header.query_id, options_.stw)
-        .first->second.AddResultSic(now, static_cast<double>(batch.size()));
+    if (!hs->arrivals) {
+      hs->arrivals = std::make_unique<StwTracker>(options_.stw);
+    }
+    hs->arrivals->AddResultSic(now, static_cast<double>(batch.size()));
   }
 
   ib_.Push(std::move(batch));
@@ -152,8 +154,8 @@ void Node::Receive(Batch batch) {
 }
 
 double Node::ArrivalTuplesStw(QueryId q, SimTime now) {
-  auto it = arrival_tuples_.find(q);
-  return it == arrival_tuples_.end() ? 0.0 : it->second.RawSum(now);
+  HostedState* hs = hosted_state(q);
+  return hs == nullptr || !hs->arrivals ? 0.0 : hs->arrivals->RawSum(now);
 }
 
 double Node::OfferedLoadUs(QueryId q, SimTime now) {
@@ -164,8 +166,8 @@ double Node::OfferedLoadUs(QueryId q, SimTime now) {
 
 double Node::OfferedLoadUs(SimTime now) {
   double total = 0.0;
-  for (auto& [q, tracker] : arrival_tuples_) {
-    total += tracker.RawSum(now);
+  for (HostedState& hs : hosted_) {
+    if (hs.arrivals) total += hs.arrivals->RawSum(now);
   }
   return total * ctl_.cost_model().PerTupleUs();
 }
@@ -208,7 +210,7 @@ void Node::ProcessNext(uint64_t gen) {
 }
 
 double Node::ExecuteBatch(const Batch& batch) {
-  const HostedState* hs = hosted_state(batch.header.query_id);
+  HostedState* hs = hosted_state(batch.header.query_id);
   if (hs == nullptr) {
     THEMIS_LOG(Warn) << "node " << id_ << ": batch for unknown query "
                      << batch.header.query_id;

@@ -4,9 +4,8 @@
 #ifndef THEMIS_NODE_NODE_H_
 #define THEMIS_NODE_NODE_H_
 
-#include <map>
 #include <memory>
-#include <set>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -138,8 +137,9 @@ class Node {
   }
   /// Queries with at least one hosted fragment.
   std::vector<QueryId> HostedQueries() const;
-  const std::map<QueryId, double>& known_query_sic() const {
-    return ctl_.query_sic();
+  /// Latest disseminated result SIC of `q`; empty before the first update.
+  std::optional<double> known_query_sic(QueryId q) const {
+    return ctl_.query_sic(q);
   }
   /// SIC mass accepted for processing for query `q` over the trailing STW
   /// (diagnostics; the shedder sees this scaled by the efficiency estimate).
@@ -188,10 +188,15 @@ class Node {
     /// topologically sorted within a fragment).
     std::vector<OperatorId> pump_ops;
     /// hosted_op[op] != 0 iff `op` runs on this node; indexed by OperatorId.
+    /// A fragment is hosted iff its operators are.
     std::vector<char> hosted_op;
+    /// Trailing-STW arrival (offered-load) mass, fed at ingress before
+    /// admission; the arrival-rate x cost placement signal reads it. Null
+    /// until the first tracked arrival (see NodeOptions::track_arrivals).
+    std::unique_ptr<StwTracker> arrivals;
   };
 
-  const HostedState* hosted_state(QueryId q) const {
+  HostedState* hosted_state(QueryId q) {
     if (q < 0 || static_cast<size_t>(q) >= hosted_.size()) return nullptr;
     return hosted_[q].graph != nullptr ? &hosted_[q] : nullptr;
   }
@@ -227,18 +232,13 @@ class Node {
   std::vector<Tuple> scratch_outputs_;
 
   // Hosted state, indexed by QueryId (dense; entries with a null graph are
-  // not hosted). Iteration in index order matches the former std::map's
-  // ascending-query order, which the deterministic event sequence relies on.
+  // not hosted). Iteration in index order is ascending-query order, which
+  // the deterministic event sequence and every per-query sum rely on.
   std::vector<HostedState> hosted_;
-  std::map<QueryId, std::set<FragmentId>> hosted_fragments_;
 
   // Eq. (1) stamping state (per-(query, source) rate estimates), shared
   // with the real-time server ingress via SicStamper.
   SicStamper stamper_;
-
-  // Trailing-STW arrival (offered-load) mass per query, fed at ingress
-  // before admission; the arrival-rate x cost placement signal reads it.
-  std::map<QueryId, StwTracker> arrival_tuples_;
   // Image store the shed loop captures into (see ConfigureCheckpoints).
   CheckpointStore ckpt_store_;
 

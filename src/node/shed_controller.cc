@@ -17,7 +17,9 @@ ShedController::ShedController(SimDuration shed_interval, SimDuration stw,
 
 void ShedController::Admit(QueryId q, double sic, size_t tuples,
                            SimTime now) {
-  accepted_.try_emplace(q, stw_).first->second.Add(now, sic, tuples);
+  QuerySlot& slot = Slot(q);
+  if (!slot.accepted) slot.accepted = std::make_unique<SicAccount>(stw_);
+  slot.accepted->Add(now, sic, tuples);
   if (telemetry::Telemetry* tel = telemetry::Get()) {
     query_telemetry_.RecordAccepted(tel, q, sic, tuples);
   }
@@ -27,24 +29,27 @@ void ShedController::Admit(QueryId q, double sic, size_t tuples,
 }
 
 void ShedController::RemoveQuery(QueryId q) {
-  query_sic_.erase(q);
-  accepted_.erase(q);
-  efficiency_.erase(q);
+  if (static_cast<size_t>(q) < slots_.size()) slots_[q] = QuerySlot{};
+}
+
+SicAccount* ShedController::Account(QueryId q) const {
+  return static_cast<size_t>(q) < slots_.size() ? slots_[q].accepted.get()
+                                                : nullptr;
 }
 
 double ShedController::AcceptedSic(QueryId q, SimTime now) {
-  auto it = accepted_.find(q);
-  return it == accepted_.end() ? 0.0 : it->second.tracker.QuerySic(now);
+  SicAccount* acc = Account(q);
+  return acc == nullptr ? 0.0 : acc->tracker.QuerySic(now);
 }
 
 double ShedController::AcceptedSicTotal(QueryId q) const {
-  auto it = accepted_.find(q);
-  return it == accepted_.end() ? 0.0 : it->second.total_sic;
+  const SicAccount* acc = Account(q);
+  return acc == nullptr ? 0.0 : acc->total_sic;
 }
 
 uint64_t ShedController::AcceptedTuplesTotal(QueryId q) const {
-  auto it = accepted_.find(q);
-  return it == accepted_.end() ? 0 : it->second.total_tuples;
+  const SicAccount* acc = Account(q);
+  return acc == nullptr ? 0 : acc->total_tuples;
 }
 
 void ShedController::BeginTick() {
@@ -71,14 +76,11 @@ bool ShedController::Decide(SimTime now, InputBuffer* ib,
   // Refresh per-query efficiency estimates (result SIC per accepted SIC).
   // The disseminated value lags the accept level by the operator pipeline
   // latency, so the ratio is smoothed with a slow EWMA.
-  for (auto& [q, acc] : accepted_) {
-    double accepted = acc.tracker.QuerySic(now);
-    if (accepted > 0.02) {
-      if (auto it = query_sic_.find(q); it != query_sic_.end()) {
-        double ratio = std::clamp(it->second / accepted, 0.0, 1.2);
-        auto [eff_it, ins] = efficiency_.try_emplace(q, Ewma(0.05));
-        eff_it->second.Update(ratio);
-      }
+  for (QuerySlot& slot : slots_) {
+    if (!slot.accepted) continue;
+    double accepted = slot.accepted->tracker.QuerySic(now);
+    if (accepted > 0.02 && slot.sic) {
+      slot.efficiency.Update(std::clamp(*slot.sic / accepted, 0.0, 1.2));
     }
   }
 
@@ -93,21 +95,22 @@ bool ShedController::Decide(SimTime now, InputBuffer* ib,
   }
   if (!overloaded) return false;
 
-  accepted_snapshot_.assign(query_slots, 0.0);
-  for (auto& [q, acc] : accepted_) {
-    double eff = 1.0;
-    if (auto it = efficiency_.find(q); it != efficiency_.end()) {
-      if (it->second.has_value()) eff = std::max(it->second.value(), 0.05);
-    }
-    if (static_cast<size_t>(q) >= accepted_snapshot_.size()) {
-      accepted_snapshot_.resize(q + 1, 0.0);
-    }
-    accepted_snapshot_[q] = acc.tracker.QuerySic(now) * eff;
+  size_t slots = std::max(query_slots, slots_.size());
+  query_sic_snapshot_.assign(slots, 0.0);
+  accepted_snapshot_.assign(slots, 0.0);
+  for (size_t q = 0; q < slots_.size(); ++q) {
+    QuerySlot& slot = slots_[q];
+    query_sic_snapshot_[q] = slot.sic.value_or(0.0);
+    if (!slot.accepted) continue;
+    double eff = slot.efficiency.has_value()
+                     ? std::max(slot.efficiency.value(), 0.05)
+                     : 1.0;
+    accepted_snapshot_[q] = slot.accepted->tracker.QuerySic(now) * eff;
   }
   ShedContext ctx;
   ctx.capacity_tuples = capacity;
   ctx.now = now;
-  ctx.query_sic = &query_sic_;
+  ctx.query_sic = &query_sic_snapshot_;
   ctx.local_accepted_sic = &accepted_snapshot_;
   std::vector<size_t> keep = shedder_->SelectBatchesToKeep(ib->batches(), ctx);
   if (tel != nullptr) {

@@ -12,8 +12,8 @@
 #ifndef THEMIS_NODE_SHED_CONTROLLER_H_
 #define THEMIS_NODE_SHED_CONTROLLER_H_
 
-#include <map>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "common/stats.h"
@@ -75,10 +75,14 @@ class ShedController {
   }
 
   /// Coordinator dissemination of a query's current result SIC (§5.2).
-  void UpdateQuerySic(QueryId q, double sic) { query_sic_[q] = sic; }
+  void UpdateQuerySic(QueryId q, double sic) { Slot(q).sic = sic; }
   /// Forgets every per-query entry of `q` (undeployment).
   void RemoveQuery(QueryId q);
-  const std::map<QueryId, double>& query_sic() const { return query_sic_; }
+  /// Latest disseminated result SIC of `q`; empty before the first update.
+  std::optional<double> query_sic(QueryId q) const {
+    return static_cast<size_t>(q) < slots_.size() ? slots_[q].sic
+                                                  : std::nullopt;
+  }
   /// SIC mass accepted for `q` over the trailing STW (the shedder sees it
   /// scaled by the efficiency estimate).
   double AcceptedSic(QueryId q, SimTime now);
@@ -115,14 +119,32 @@ class ShedController {
   /// server's worker count under measured accounting), refreshes the
   /// efficiency estimates, runs the detector on `ib` and, when overloaded,
   /// sheds it down to c. `query_slots` bounds the hosted QueryIds (the
-  /// shedder's accepted-SIC snapshot is indexed by them). Publishes the
+  /// shedder's per-query snapshots are indexed by them). Publishes the
   /// shed-path, `pool` and checkpoint telemetry. Returns the verdict.
   bool Decide(SimTime now, InputBuffer* ib, const BatchPool& pool,
               size_t query_slots, size_t capacity_scale = 1);
 
  private:
+  /// Per-query state of the loop. Admission accounting: the trailing-STW
+  /// tracker is the lag-free local signal for the shedder (see ShedContext),
+  /// scaled by a slow efficiency estimate so it predicts *result* SIC:
+  /// queries lose SIC mass semantically (filters dropping whole panes, join
+  /// windows with one side missing), and equalising raw accepted mass would
+  /// leave low-efficiency queries permanently below the water level.
+  struct QuerySlot {
+    std::optional<double> sic;             ///< latest disseminated result SIC
+    std::unique_ptr<SicAccount> accepted;  ///< from the first admission on
+    Ewma efficiency{0.05};                 ///< result SIC per accepted SIC
+  };
+
   /// True, scheduling the next capture, when capture is enabled and due.
   bool CheckpointDue(SimTime now);
+  QuerySlot& Slot(QueryId q) {
+    if (static_cast<size_t>(q) >= slots_.size()) slots_.resize(q + 1);
+    return slots_[q];
+  }
+  /// `q`'s admission account; null before its first admission.
+  SicAccount* Account(QueryId q) const;
 
   SimDuration shed_interval_;
   SimDuration stw_;
@@ -133,17 +155,10 @@ class ShedController {
   uint64_t interval_tuples_ = 0;
   SimDuration interval_busy_ = 0;
 
-  // Latest disseminated result SIC per query.
-  std::map<QueryId, double> query_sic_;
-  // Per-query admission accounting: the trailing-STW tracker is the
-  // lag-free local signal for the shedder (see ShedContext), scaled by a
-  // slow per-query efficiency estimate so it predicts *result* SIC: queries
-  // lose SIC mass semantically (filters dropping whole panes, join windows
-  // with one side missing), and equalising raw accepted mass would leave
-  // low-efficiency queries permanently below the water level.
-  std::map<QueryId, SicAccount> accepted_;
-  std::map<QueryId, Ewma> efficiency_;
+  // Indexed by QueryId and walked in ascending id.
+  std::vector<QuerySlot> slots_;
   // Reused per shed tick; indexed by QueryId (see ShedContext).
+  std::vector<double> query_sic_snapshot_;
   std::vector<double> accepted_snapshot_;
 
   QueryTelemetry query_telemetry_;

@@ -91,6 +91,17 @@ Result<std::unique_ptr<QueryGraph>> QueryBuilder::Build() {
       static_cast<size_t>(graph_->root_) >= graph_->ops_.size()) {
     return Status::InvalidArgument("query root not set");
   }
+  // Query and fragment ids index dense per-query and per-fragment tables.
+  if (graph_->id_ < 0) {
+    return Status::InvalidArgument("negative query id " +
+                                   std::to_string(graph_->id_));
+  }
+  for (FragmentId frag : graph_->op_fragment_) {
+    if (frag < 0) {
+      return Status::InvalidArgument("negative fragment id " +
+                                     std::to_string(frag));
+    }
+  }
 
   // Kahn's algorithm: topological order + cycle detection.
   size_t n = graph_->ops_.size();

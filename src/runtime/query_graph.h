@@ -109,8 +109,9 @@ class QueryBuilder {
   /// Declares the root (result-emitting) operator.
   QueryBuilder& SetRoot(OperatorId root);
 
-  /// Validates (ids in range, acyclic, root set, every operator reaches the
-  /// root or is the root) and returns the finished graph.
+  /// Validates (ids in range, query and fragment ids non-negative, acyclic,
+  /// root set, every operator reaches the root or is the root) and returns
+  /// the finished graph.
   Result<std::unique_ptr<QueryGraph>> Build();
 
  private:

@@ -74,10 +74,9 @@ std::vector<size_t> BalanceSicShedder::SelectBatchesToKeep(
     QueryState& st = *st_it;
     const QueryId q = st.query;
     double disseminated = 0.0;
-    if (ctx.query_sic != nullptr) {
-      if (auto it = ctx.query_sic->find(q); it != ctx.query_sic->end()) {
-        disseminated = it->second;
-      }
+    if (ctx.query_sic != nullptr &&
+        static_cast<size_t>(q) < ctx.query_sic->size()) {
+      disseminated = (*ctx.query_sic)[q];
     }
     if (options_.project_local_shedding) {
       double in_buffer = 0.0;

@@ -5,7 +5,6 @@
 #define THEMIS_SHEDDING_SHEDDER_H_
 
 #include <deque>
-#include <map>
 #include <vector>
 
 #include "common/time_types.h"
@@ -20,8 +19,9 @@ struct ShedContext {
   /// Current simulated time.
   SimTime now = 0;
   /// Latest disseminated result SIC value per query hosted on this node
-  /// (from the query coordinators, §5.2 updateSIC). May be null.
-  const std::map<QueryId, double>* query_sic = nullptr;
+  /// (from the query coordinators, §5.2 updateSIC), indexed by QueryId (0.0
+  /// for queries without a disseminated value). May be null.
+  const std::vector<double>* query_sic = nullptr;
   /// SIC mass this node accepted for processing per query over the trailing
   /// STW, indexed by QueryId (0.0 for queries without accepted mass).
   /// Lag-free local counterpart of `query_sic`: disseminated values trail

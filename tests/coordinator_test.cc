@@ -76,10 +76,10 @@ TEST_F(CoordinatorTest, DisseminatesToHostsWithLatency) {
 
   // First update fires at 250 ms and arrives after the 5 ms link latency.
   queue_.RunUntil(Millis(254));
-  EXPECT_TRUE(host->known_query_sic().empty());
+  EXPECT_FALSE(host->known_query_sic(1).has_value());
   queue_.RunUntil(Millis(256));
-  ASSERT_EQ(host->known_query_sic().count(1), 1u);
-  EXPECT_NEAR(host->known_query_sic().at(1), 0.5, 1e-12);
+  ASSERT_TRUE(host->known_query_sic(1).has_value());
+  EXPECT_NEAR(*host->known_query_sic(1), 0.5, 1e-12);
 }
 
 TEST_F(CoordinatorTest, DisseminationCountsTraffic) {

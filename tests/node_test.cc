@@ -170,7 +170,8 @@ TEST_F(NodeTest, UpdateQuerySicIsVisibleToShedder) {
   Node& node = MakeNode();
   node.HostFragment(graph.get(), 0);
   node.UpdateQuerySic(1, 0.75);
-  EXPECT_DOUBLE_EQ(node.known_query_sic().at(1), 0.75);
+  ASSERT_TRUE(node.known_query_sic(1).has_value());
+  EXPECT_DOUBLE_EQ(*node.known_query_sic(1), 0.75);
 }
 
 TEST_F(NodeTest, HostedQueriesListsDeployments) {

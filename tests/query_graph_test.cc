@@ -76,6 +76,18 @@ TEST(QueryBuilderTest, RejectsOutOfRangeIds) {
   EXPECT_FALSE(b.Build().ok());
 }
 
+TEST(QueryBuilderTest, RejectsNegativeQueryAndFragmentIds) {
+  // Both ids index dense tables (Fsps, Node, the shedders), so a negative
+  // one must never reach a deployment.
+  QueryBuilder query(-1, "negative query id");
+  query.SetRoot(query.Add(Out(), 0));
+  EXPECT_TRUE(query.Build().status().IsInvalidArgument());
+
+  QueryBuilder fragment(1, "negative fragment id");
+  fragment.SetRoot(fragment.Add(Out(), -1));
+  EXPECT_TRUE(fragment.Build().status().IsInvalidArgument());
+}
+
 TEST(QueryGraphTest, FragmentOpsAreTopologicallyOrdered) {
   QueryBuilder b(2, "chain");
   OperatorId o1 = b.Add(Recv(), 0);

@@ -141,7 +141,7 @@ TEST_F(ShedControllerTest, RemoveQueryForgetsItsAccounts) {
   ctl_.UpdateQuerySic(0, 0.9);
   ctl_.RemoveQuery(0);
   EXPECT_EQ(ctl_.AcceptedSicTotal(0), 0.0);
-  EXPECT_EQ(ctl_.query_sic().count(0), 0u);
+  EXPECT_FALSE(ctl_.query_sic(0).has_value());
   EXPECT_EQ(ctl_.AcceptedSicTotal(1), 0.5);
 }
 

@@ -200,7 +200,7 @@ TEST(BalanceSicShedderTest, FavoursTheMostDegradedQuery) {
   std::deque<Batch> ib;
   for (int i = 0; i < 10; ++i) ib.push_back(B1(1, 0.02));
   for (int i = 0; i < 10; ++i) ib.push_back(B1(2, 0.02));
-  std::map<QueryId, double> qsic = {{1, 0.5}, {2, 0.0}};
+  std::vector<double> qsic = {0.0, 0.5, 0.0};  // indexed by QueryId
   BalanceSicOptions opts;
   opts.project_local_shedding = false;  // use disseminated values directly
   BalanceSicShedder shedder(Rng(1), opts);
@@ -220,7 +220,7 @@ TEST(BalanceSicShedderTest, ProjectionSubtractsBufferedSic) {
   std::deque<Batch> ib;
   for (int i = 0; i < 10; ++i) ib.push_back(B1(1, 0.02));
   for (int i = 0; i < 10; ++i) ib.push_back(B1(2, 0.02));
-  std::map<QueryId, double> qsic = {{1, 0.2}, {2, 0.0}};
+  std::vector<double> qsic = {0.0, 0.2, 0.0};  // indexed by QueryId
   BalanceSicShedder shedder(Rng(1));  // projection on by default
   ShedContext ctx;
   ctx.capacity_tuples = 10;
