@@ -4,7 +4,6 @@
 // is the purest regression signal for the zero-allocation data plane (Value
 // scalars, inline tuple payloads, BatchPool recycling, slab event queue);
 // the figure benches measure the same machinery under full simulations.
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -24,21 +23,11 @@ namespace themis {
 namespace bench {
 namespace {
 
-// Swallows results; the microbench counts them and folds them into a digest
-// so the row and columnar variants can be compared bit-for-bit.
+// Swallows results.
 class NullRouter : public BatchRouter {
  public:
   void RouteBatch(NodeId, QueryId, FragmentId, Batch) override {}
-  void DeliverResult(QueryId, SimTime, const std::vector<Tuple>& r) override {
-    results += r.size();
-    for (const Tuple& t : r) {
-      if (!t.values.empty()) value_digest += AsDouble(t.values[0]);
-      sic_digest += t.sic;
-    }
-  }
-  uint64_t results = 0;
-  double value_digest = 0.0;
-  double sic_digest = 0.0;
+  void DeliverResult(QueryId, SimTime, const std::vector<Tuple>&) override {}
 };
 
 // Single-fragment AVG query: receiver -> avg(1s window) -> output.
@@ -57,18 +46,12 @@ std::unique_ptr<QueryGraph> MakeAvgGraph(QueryId q, SourceId src) {
 struct Outcome {
   uint64_t tuples = 0;
   uint64_t allocations = 0;
-  uint64_t results = 0;
-  double value_digest = 0.0;
-  double sic_digest = 0.0;
-  double wall_s = 0.0;
 };
 
 // Pushes `batches` batches of `batch_size` tuples through the node, driving
 // the event queue to completion after each simulated batch interval. With a
-// fast CPU there is no overload, so every tuple is processed. `columnar`
-// selects the batch representation; results must be bit-identical either way
-// (main() enforces it on the digests).
-Outcome Drive(uint64_t batches, size_t batch_size, bool columnar = false) {
+// fast CPU there is no overload, so every tuple is processed.
+Outcome Drive(uint64_t batches, size_t batch_size) {
   EventQueue queue;
   NullRouter router;
   NodeOptions options;
@@ -82,59 +65,31 @@ Outcome Drive(uint64_t batches, size_t batch_size, bool columnar = false) {
   const SimDuration interval = Millis(10);
   Outcome out;
   uint64_t warmup = batches / 10;
-  auto wall_start = std::chrono::steady_clock::now();
   for (uint64_t i = 0; i < batches; ++i) {
     if (i == warmup) {
       // Pools, window buffers and the event slab are warm; what follows is
       // the steady state the zero-allocation design targets.
       out.allocations = AllocCounter::allocations();
       out.tuples = node.stats().tuples_processed;
-      wall_start = std::chrono::steady_clock::now();
     }
-    Batch b;
-    if (columnar) {
-      b = node.batch_pool()->AcquireColumnar();
-      b.columnar->ReserveRows(batch_size);
-    } else {
-      b = node.batch_pool()->Acquire();
-    }
+    Batch b = node.batch_pool()->Acquire();
     b.header.query_id = 0;
     b.header.dest_op = 0;
     b.header.dest_port = 0;
     b.header.source = 0;
     b.header.created = queue.now();
-    if (columnar) {
-      for (size_t t = 0; t < batch_size; ++t) {
-        b.columnar->AppendRow(queue.now(), 0.0, static_cast<double>(t));
-      }
-    } else {
-      for (size_t t = 0; t < batch_size; ++t) {
-        Tuple& tup = b.tuples.emplace_back();
-        tup.timestamp = queue.now();
-        tup.values.push_back(static_cast<double>(t));
-      }
+    for (size_t t = 0; t < batch_size; ++t) {
+      Tuple& tup = b.tuples.emplace_back();
+      tup.timestamp = queue.now();
+      tup.values.push_back(static_cast<double>(t));
     }
     node.Receive(std::move(b));
     queue.RunUntil(queue.now() + interval);
   }
   queue.RunUntil(queue.now() + Seconds(2));  // drain the last windows
-  out.wall_s = std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                             wall_start)
-                   .count();
   out.allocations = AllocCounter::allocations() - out.allocations;
   out.tuples = node.stats().tuples_processed - out.tuples;
-  out.results = router.results;
-  out.value_digest = router.value_digest;
-  out.sic_digest = router.sic_digest;
   return out;
-}
-
-// Bitwise double comparison: parity means the same bits, not "close".
-bool SameBits(double a, double b) {
-  uint64_t ua, ub;
-  std::memcpy(&ua, &a, sizeof(ua));
-  std::memcpy(&ub, &b, sizeof(ub));
-  return ua == ub;
 }
 
 }  // namespace
@@ -146,23 +101,18 @@ int main(int argc, char** argv) {
   using namespace themis::bench;
   PerfRecorder perf(argc, argv, "bench_dataplane");
   bool with_telemetry = false;
-  bool columnar = false;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--with-telemetry") == 0) with_telemetry = true;
-    if (std::strcmp(argv[i], "--columnar") == 0) columnar = true;
   }
   std::printf("Data-plane microbenchmark: single node, AVG pipeline, no "
               "overload.\n");
 
   const uint64_t batches = perf.quick() ? 60000 : 200000;
-  Outcome row_out[2];
-  size_t idx = 0;
   for (size_t batch_size : {8, 80}) {
     std::string config = "batch_size=" + std::to_string(batch_size);
     perf.BeginRun(config);
     Outcome out = Drive(batches, batch_size);
     perf.EndRun(out.tuples);
-    row_out[idx++] = out;
     double per_tuple = out.tuples > 0 ? static_cast<double>(out.allocations) /
                                             static_cast<double>(out.tuples)
                                       : 0.0;
@@ -170,48 +120,6 @@ int main(int argc, char** argv) {
                 config.c_str(),
                 static_cast<unsigned long long>(out.tuples), per_tuple,
                 AllocCounter::active() ? "" : " (alloc counting inactive)");
-  }
-
-  // Opt-in columnar variant (the default stdout above stays byte-stable):
-  // the same pipeline fed SoA batches. Beyond the speedup, this doubles as
-  // an in-binary parity gate — result count and digests must match the row
-  // runs bit-for-bit, or the bench fails.
-  if (columnar) {
-    std::printf("Columnar variant: SoA batches, same pipeline (results "
-                "checked bit-for-bit against the row runs).\n");
-    idx = 0;
-    for (size_t batch_size : {8, 80}) {
-      std::string config =
-          "batch_size=" + std::to_string(batch_size) + "+columnar";
-      perf.BeginRun(config);
-      Outcome out = Drive(batches, batch_size, /*columnar=*/true);
-      perf.EndRun(out.tuples);
-      const Outcome& row = row_out[idx++];
-      double per_tuple = out.tuples > 0
-                             ? static_cast<double>(out.allocations) /
-                                   static_cast<double>(out.tuples)
-                             : 0.0;
-      double speedup = out.wall_s > 0.0 ? row.wall_s / out.wall_s : 0.0;
-      std::printf(
-          "%-24s tuples=%-10llu steady-state allocs/tuple=%.4f "
-          "speedup=%.2fx\n",
-          config.c_str(), static_cast<unsigned long long>(out.tuples),
-          per_tuple, speedup);
-      if (out.results != row.results ||
-          !SameBits(out.value_digest, row.value_digest) ||
-          !SameBits(out.sic_digest, row.sic_digest)) {
-        std::fprintf(stderr,
-                     "PARITY MISMATCH %s: results %llu vs %llu, "
-                     "value_digest %.17g vs %.17g, sic_digest %.17g vs "
-                     "%.17g\n",
-                     config.c_str(),
-                     static_cast<unsigned long long>(out.results),
-                     static_cast<unsigned long long>(row.results),
-                     out.value_digest, row.value_digest, out.sic_digest,
-                     row.sic_digest);
-        return 1;
-      }
-    }
   }
 
   // Opt-in overhead probe (CI gates it within 5% of the plain run): the

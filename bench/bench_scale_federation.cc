@@ -16,7 +16,6 @@
 // Flags (besides the PerfRecorder ones): --shards N, --nodes N,
 // --queries N.
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -44,13 +43,6 @@ int main(int argc, char** argv) {
     measure = Seconds(10);
   }
   const int parallel_shards = IntFlag(argc, argv, "--shards", 4);
-  // Columnar data plane. Every figure this bench prints is simulated-domain
-  // state, so the output must be byte-identical with the flag on or off —
-  // CI diffs the two invocations to pin the columnar/row parity end-to-end.
-  bool columnar = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--columnar") == 0) columnar = true;
-  }
   ScaleScenario scenario = MakeScaleScenario(so);
 
   Reporter reporter(
@@ -67,7 +59,6 @@ int main(int argc, char** argv) {
     const std::string name = "shards=" + std::to_string(shards);
     FspsOptions fo;
     fo.shards = shards;
-    fo.columnar = columnar;
     auto fsps = MakeScaleFederation(scenario, fo);
     perf.BeginRun(name);
     ScaleRunResult r = RunScaleScenario(fsps.get(), scenario, measure);

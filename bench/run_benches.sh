@@ -9,11 +9,7 @@
 # so e.g.
 #   bench/run_benches.sh build out.json --quick --metrics=/tmp/{bench}.prom
 # writes one telemetry snapshot per bench. Benches ignore flags they do not
-# know, so e.g.
-#   bench/run_benches.sh build out.json --quick --columnar
-# runs the whole suite with the columnar data plane wherever it exists
-# (bench_dataplane's SoA variant + parity gate, bench_scale_federation's
-# columnar sources) and leaves the other benches untouched.
+# know.
 #
 # Sequential on purpose: the benches merge into one file, and concurrent
 # writers would race. Refresh bench/baseline.json with:

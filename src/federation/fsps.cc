@@ -11,18 +11,6 @@
 
 namespace themis {
 
-namespace {
-
-// The jitter stream is derived from the run seed so two Fsps instances with
-// different seeds do not share a stream. XORing with (42 ^ 7) maps the
-// default seed 42 to the historical hardcoded jitter seed 7, keeping every
-// seed-42 figure output byte-identical.
-uint64_t DeriveJitterSeed(uint64_t seed) {
-  return seed ^ (42ULL ^ Network::kDefaultJitterSeed);
-}
-
-}  // namespace
-
 std::string SheddingPolicyName(SheddingPolicy policy) {
   switch (policy) {
     case SheddingPolicy::kBalanceSic:
@@ -43,8 +31,7 @@ Fsps::Fsps(FspsOptions options)
     : options_(options),
       rng_(options.seed),
       engine_(std::make_unique<ParallelEngine>(std::max(options.shards, 1))),
-      network_(engine_->queue(0), options.default_link_latency,
-               DeriveJitterSeed(options.seed)),
+      network_(engine_->queue(0), options.default_link_latency),
       recovery_(options.recovery) {
   if (options_.elastic) {
     // Elastic runs wrap every sharded delivery in the re-forwarding
@@ -235,7 +222,6 @@ Status Fsps::AttachSources(QueryId q,
     if (auto it = models.find(sb.source); it != models.end()) {
       model = it->second;
     }
-    if (options_.columnar) model.columnar = true;
 
     // An operator never changes fragment, so the receiving fragment binds
     // here; RouteBatch resolves its host per batch, so generated traffic
@@ -660,7 +646,7 @@ Status Fsps::RebalanceNow(const std::vector<int>& group_of_node) {
 
   // Migration, in entity order (see ParallelEngine::EnableElastic for the
   // protocol): nodes re-point their timer chains, the network's map swaps
-  // in place (jitter lanes stay with their shards), coordinators follow
+  // in place (traffic counters stay with their shards), coordinators follow
   // their home node, and source drivers follow their destination host so
   // generated traffic stays shard-local.
   uint64_t migrated = 0;

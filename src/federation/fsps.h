@@ -89,12 +89,6 @@ struct FspsOptions {
   /// Disabled by default: zero overhead, zero RunFor re-segmentation, every
   /// pre-existing figure byte-identical.
   RecoveryTrackerOptions recovery;
-  /// Columnar data plane: sources emit SoA batches (see SourceModel::
-  /// columnar) and operators with columnar kernels consume them without row
-  /// materialization. Results are byte-identical either way — the flag
-  /// trades layout, not semantics (tests/columnar_test.cc and the CI parity
-  /// byte-diff pin this). Off by default.
-  bool columnar = false;
   /// What a re-placed fragment's operator state looks like after a crash:
   /// empty (kReset, the default — the crashed node's state is gone), or
   /// restored from the crashed node's checkpoint store (kCheckpoint; see

@@ -222,32 +222,7 @@ double Node::ExecuteBatch(const Batch& batch) {
   double work_us =
       static_cast<double>(batch.size()) * target->cost_us_per_tuple() /
       options_.cpu_speed;
-  if (batch.is_columnar()) {
-    const ColumnarBlock& block = *batch.columnar;
-    // Short-circuit the block past stateless pass-throughs on a linear
-    // chain: a pass-through's pending buffer is always empty here (PumpGraph
-    // flushes it in topo order every event), and requiring the consumer to
-    // have in-degree 1 means no other producer could observe the skipped
-    // hop's timing — so handing the block straight to the first stateful
-    // operator is unobservable. Each skipped hop still charges its ingest
-    // cost with the same arithmetic the row path performs.
-    Operator* op = target;
-    int port = batch.header.dest_port;
-    while (op->IsStatelessPassThrough() && op->id() != hs->graph->root()) {
-      const std::vector<Edge>& edges = hs->graph->out_edges(op->id());
-      if (edges.size() != 1) break;
-      const Edge& e = edges[0];
-      if (hs->hosted_op[e.to] == 0 || hs->graph->in_degree(e.to) != 1) break;
-      Operator* next = hs->graph->op(e.to);
-      work_us += static_cast<double>(block.rows()) *
-                 next->cost_us_per_tuple() / options_.cpu_speed;
-      op = next;
-      port = e.port;
-    }
-    op->IngestColumnar(block, port);
-  } else {
-    target->Ingest(batch.tuples, batch.header.dest_port);
-  }
+  target->Ingest(batch.tuples, batch.header.dest_port);
   PumpGraph(*hs, &work_us);
   return work_us;
 }

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "runtime/columnar_kernels.h"
 #include "sic/sic.h"
 
 namespace themis {
@@ -31,14 +30,7 @@ void SicStamper::StampSourceBatch(Batch* batch, SimTime now,
   double sic = SourceTupleSic(per_stw, num_sources);
   // Stamp and refresh the header in one pass. The sum loop (rather than
   // sic * n) reproduces RefreshHeaderSic()'s exact rounding so shedding
-  // decisions — and therefore figure outputs — stay bit-identical; the
-  // columnar kernel performs the identical addition sequence over the
-  // contiguous SIC array.
-  if (batch->is_columnar()) {
-    auto& sics = batch->columnar->sics();
-    batch->header.sic = columnar::StampSics(sics.data(), sics.size(), sic);
-    return;
-  }
+  // decisions — and therefore figure outputs — stay bit-identical.
   double sum = 0.0;
   for (Tuple& t : batch->tuples) {
     t.sic = sic;

@@ -58,14 +58,8 @@ void PoolTelemetry::Publish(telemetry::Telemetry* t,
     h_.row_misses = m.GetCounter("infra.pool.row_misses");
     h_.row_released = m.GetCounter("infra.pool.row_released");
     h_.row_evicted = m.GetCounter("infra.pool.row_evicted");
-    h_.columnar_hits = m.GetCounter("infra.pool.columnar_hits");
-    h_.columnar_misses = m.GetCounter("infra.pool.columnar_misses");
-    h_.columnar_released = m.GetCounter("infra.pool.columnar_released");
-    h_.columnar_evicted = m.GetCounter("infra.pool.columnar_evicted");
     h_.row_pooled = m.GetGauge("infra.pool.row_pooled");
     h_.row_peak = m.GetGauge("infra.pool.row_peak");
-    h_.columnar_pooled = m.GetGauge("infra.pool.columnar_pooled");
-    h_.columnar_peak = m.GetGauge("infra.pool.columnar_peak");
     owner_ = t;
     last_ = BatchPool::Stats{};  // new registry: counters restart from zero
   }
@@ -73,14 +67,8 @@ void PoolTelemetry::Publish(telemetry::Telemetry* t,
   h_.row_misses->Add(s.row_misses - last_.row_misses);
   h_.row_released->Add(s.row_released - last_.row_released);
   h_.row_evicted->Add(s.row_evicted - last_.row_evicted);
-  h_.columnar_hits->Add(s.columnar_hits - last_.columnar_hits);
-  h_.columnar_misses->Add(s.columnar_misses - last_.columnar_misses);
-  h_.columnar_released->Add(s.columnar_released - last_.columnar_released);
-  h_.columnar_evicted->Add(s.columnar_evicted - last_.columnar_evicted);
   h_.row_pooled->SetRaw(static_cast<int64_t>(s.row_pooled));
   h_.row_peak->SetRaw(static_cast<int64_t>(s.row_peak));
-  h_.columnar_pooled->SetRaw(static_cast<int64_t>(s.columnar_pooled));
-  h_.columnar_peak->SetRaw(static_cast<int64_t>(s.columnar_peak));
   last_ = s;
 }
 

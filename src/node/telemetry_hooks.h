@@ -46,9 +46,10 @@ class QueryTelemetry {
 /// \brief Publishes BatchPool recycling statistics as `infra.pool.*`
 /// metrics (infra.* is the wall-clock/environment namespace excluded from
 /// determinism byte-diffs). Counters
-/// `infra.pool.{row,columnar}_{hits,misses,released,evicted}` advance by the
-/// delta since the last publish; gauges `infra.pool.{row,columnar}_pooled`
-/// and `..._peak` carry the current free-list occupancy / high-water mark.
+/// `infra.pool.row_{hits,misses,released,evicted}` advance by the delta
+/// since the last publish; gauges `infra.pool.row_pooled` and
+/// `infra.pool.row_peak` carry the current free-list occupancy / high-water
+/// mark.
 /// Call from the shed tick (one publish per interval is plenty).
 class PoolTelemetry {
  public:
@@ -60,14 +61,8 @@ class PoolTelemetry {
     telemetry::Counter* row_misses = nullptr;
     telemetry::Counter* row_released = nullptr;
     telemetry::Counter* row_evicted = nullptr;
-    telemetry::Counter* columnar_hits = nullptr;
-    telemetry::Counter* columnar_misses = nullptr;
-    telemetry::Counter* columnar_released = nullptr;
-    telemetry::Counter* columnar_evicted = nullptr;
     telemetry::Gauge* row_pooled = nullptr;
     telemetry::Gauge* row_peak = nullptr;
-    telemetry::Gauge* columnar_pooled = nullptr;
-    telemetry::Gauge* columnar_peak = nullptr;
   };
 
   telemetry::Telemetry* owner_ = nullptr;

@@ -81,7 +81,7 @@ class ParallelEngine : public CrossShardSink {
   ///      bumping a generation counter so events still queued on the old
   ///      shard no-op when they fire there (generations are only written
   ///      between runs, so worker-thread reads are race-free).
-  ///   2. The Network's shard map is swapped in place (jitter lanes and
+  ///   2. The Network's shard map is swapped in place (the per-shard
   ///      traffic counters stay with their shards).
   ///   3. In-flight deliveries scheduled before the re-balance fire on the
   ///      shard that held the destination at send time; the Network's

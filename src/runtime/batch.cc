@@ -5,7 +5,6 @@ namespace themis {
 void Batch::RefreshHeaderSic() { header.sic = TotalSic(); }
 
 double Batch::TotalSic() const {
-  if (columnar != nullptr) return columnar->SumSics();
   double sum = 0.0;
   for (const Tuple& t : tuples) sum += t.sic;
   return sum;

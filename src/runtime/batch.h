@@ -4,11 +4,9 @@
 #ifndef THEMIS_RUNTIME_BATCH_H_
 #define THEMIS_RUNTIME_BATCH_H_
 
-#include <memory>
 #include <vector>
 
 #include "common/time_types.h"
-#include "runtime/columnar.h"
 #include "runtime/ids.h"
 #include "runtime/tuple.h"
 
@@ -33,25 +31,21 @@ struct BatchHeader {
 
 /// \brief A batch of tuples plus its SIC header.
 ///
-/// Dual representation: a batch carries its tuples either row-oriented (in
-/// `tuples`) or columnar (in `columnar`, SoA arrays), never both. Everything
-/// header-level (size, SIC mass, shedding decisions) is representation-
-/// agnostic; consumers that need rows materialize at the seam (see
-/// Operator::IngestColumnar's default). Holding the block by unique_ptr
-/// keeps Batch moves cheap and makes Batch move-only, so no code path can
-/// silently deep-copy a batch.
+/// Move-only, so no code path can silently deep-copy a batch. The move is
+/// noexcept, which lets a network hop's closure hold a batch inline.
 struct Batch {
+  Batch() = default;
+  Batch(const Batch&) = delete;
+  Batch& operator=(const Batch&) = delete;
+  Batch(Batch&&) = default;
+  Batch& operator=(Batch&&) = default;
+
   BatchHeader header;
   std::vector<Tuple> tuples;
-  std::unique_ptr<ColumnarBlock> columnar;
-
-  bool is_columnar() const { return columnar != nullptr; }
 
   /// Number of tuples; this is what counts against node capacity `c`.
-  size_t size() const {
-    return columnar != nullptr ? columnar->rows() : tuples.size();
-  }
-  bool empty() const { return size() == 0; }
+  size_t size() const { return tuples.size(); }
+  bool empty() const { return tuples.empty(); }
 
   /// Recomputes the header SIC as the sum of tuple SIC values.
   void RefreshHeaderSic();

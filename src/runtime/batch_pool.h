@@ -1,15 +1,13 @@
 // Free-list of batch buffers. Batches are the unit of transfer on the
 // data plane: a node receives, processes, drops (sheds) and re-emits
 // thousands of batches per simulated second, and without recycling every one
-// of them costs an allocation. BatchPool keeps the tuple buffers and the
-// columnar blocks of retired batches and hands their capacity to the next
-// Acquire()/AcquireColumnar(), so batch churn is allocation-free in steady
-// state for both representations.
+// of them costs an allocation. BatchPool keeps the tuple buffers of retired
+// batches and hands their capacity to the next Acquire(), so batch churn is
+// allocation-free in steady state.
 #ifndef THEMIS_RUNTIME_BATCH_POOL_H_
 #define THEMIS_RUNTIME_BATCH_POOL_H_
 
 #include <cstdint>
-#include <memory>
 #include <utility>
 #include <vector>
 
@@ -25,31 +23,24 @@ class BatchPool {
   /// `*_misses` count Acquire calls served from / past the free list;
   /// `*_released` buffers returned; `*_evicted` returns dropped because the
   /// list was full; `*_pooled` / `*_peak` current and high-water occupancy.
+  /// The `row_` prefix is part of the exported metric names.
   struct Stats {
     uint64_t row_hits = 0;
     uint64_t row_misses = 0;
     uint64_t row_released = 0;
     uint64_t row_evicted = 0;
-    uint64_t columnar_hits = 0;
-    uint64_t columnar_misses = 0;
-    uint64_t columnar_released = 0;
-    uint64_t columnar_evicted = 0;
     size_t row_pooled = 0;
     size_t row_peak = 0;
-    size_t columnar_pooled = 0;
-    size_t columnar_peak = 0;
   };
 
-  /// \param max_pooled retired buffers kept at most per representation
-  ///        (excess ones are freed)
+  /// \param max_pooled retired buffers kept at most (excess ones are freed)
   explicit BatchPool(size_t max_pooled = 4096) : max_pooled_(max_pooled) {}
 
   BatchPool(const BatchPool&) = delete;
   BatchPool& operator=(const BatchPool&) = delete;
 
-  /// Returns an empty row batch with a default header. Its tuple buffer
-  /// reuses the capacity of a previously released batch when one is
-  /// available.
+  /// Returns an empty batch with a default header. Its tuple buffer reuses
+  /// the capacity of a previously released batch when one is available.
   Batch Acquire() {
     Batch b;
     if (!free_.empty()) {
@@ -62,28 +53,9 @@ class BatchPool {
     return b;
   }
 
-  /// Returns an empty columnar batch: `columnar` holds a cleared
-  /// ColumnarBlock whose arrays reuse a previously released block's
-  /// capacity when one is available.
-  Batch AcquireColumnar() {
-    Batch b;
-    if (!free_blocks_.empty()) {
-      b.columnar = std::move(free_blocks_.back());
-      free_blocks_.pop_back();
-      ++stats_.columnar_hits;
-    } else {
-      b.columnar = std::make_unique<ColumnarBlock>();
-      ++stats_.columnar_misses;
-    }
-    return b;
-  }
-
-  /// Retires `b`, keeping its buffers (tuple vector and/or columnar block)
-  /// for future Acquire calls. Buffers are cleared but keep their capacity.
-  void Release(Batch&& b) {
-    if (b.columnar != nullptr) ReleaseBlock(std::move(b.columnar));
-    ReleaseTuples(std::move(b.tuples));
-  }
+  /// Retires `b`, keeping its tuple buffer for future Acquire calls. The
+  /// buffer is cleared but keeps its capacity.
+  void Release(Batch&& b) { ReleaseTuples(std::move(b.tuples)); }
 
   /// Same, for a bare tuple buffer.
   void ReleaseTuples(std::vector<Tuple>&& tuples) {
@@ -98,38 +70,20 @@ class BatchPool {
     if (free_.size() > stats_.row_peak) stats_.row_peak = free_.size();
   }
 
-  /// Same, for a bare columnar block.
-  void ReleaseBlock(std::unique_ptr<ColumnarBlock> block) {
-    if (block == nullptr) return;
-    if (free_blocks_.size() >= max_pooled_) {
-      ++stats_.columnar_evicted;
-      return;
-    }
-    block->Clear();
-    free_blocks_.push_back(std::move(block));
-    ++stats_.columnar_released;
-    if (free_blocks_.size() > stats_.columnar_peak) {
-      stats_.columnar_peak = free_blocks_.size();
-    }
-  }
-
   /// Snapshot of the recycle counters with current occupancy filled in.
   Stats stats() const {
     Stats s = stats_;
     s.row_pooled = free_.size();
-    s.columnar_pooled = free_blocks_.size();
     return s;
   }
 
   size_t pooled() const { return free_.size(); }
-  size_t pooled_blocks() const { return free_blocks_.size(); }
   /// Acquire() calls served from the free list / from the allocator.
   uint64_t hits() const { return stats_.row_hits; }
   uint64_t misses() const { return stats_.row_misses; }
 
  private:
   std::vector<std::vector<Tuple>> free_;
-  std::vector<std::unique_ptr<ColumnarBlock>> free_blocks_;
   size_t max_pooled_;
   Stats stats_;
 };

@@ -2,7 +2,6 @@
 
 #include "runtime/batch_pool.h"
 #include "runtime/checkpoint.h"
-#include "runtime/columnar.h"
 
 namespace themis {
 
@@ -13,16 +12,6 @@ double TotalSicOf(const std::vector<Tuple>& tuples) {
   for (const Tuple& t : tuples) sum += t.sic;
   return sum;
 }
-
-}  // namespace
-
-void Operator::IngestColumnar(const ColumnarBlock& block, int port) {
-  columnar_scratch_.clear();
-  block.MaterializeInto(&columnar_scratch_);
-  Ingest(columnar_scratch_, port);
-}
-
-namespace {
 
 // Applies Eq. (3): every derived tuple receives an equal share of the SIC
 // mass of its atomic input set. Produced tuples with no timestamp inherit the

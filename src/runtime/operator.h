@@ -19,7 +19,6 @@ namespace themis {
 class BatchPool;
 class CheckpointReader;
 class CheckpointWriter;
-class ColumnarBlock;
 
 /// \brief Base class of all stream operators.
 ///
@@ -45,25 +44,6 @@ class Operator {
   /// Feeds tuples into the operator's window state.
   virtual void Ingest(const std::vector<Tuple>& tuples, int port) = 0;
 
-  /// Feeds a columnar block. Operators with a native columnar kernel
-  /// (AggregateOp, FilterOp with a FieldPredicate) override this (and
-  /// AcceptsColumnar); the default materializes rows into a scratch buffer
-  /// and forwards to Ingest(), so every operator consumes either
-  /// representation with identical results.
-  virtual void IngestColumnar(const ColumnarBlock& block, int port);
-
-  /// True when IngestColumnar avoids row materialization for `port` in the
-  /// operator's current configuration (diagnostics / tests).
-  virtual bool AcceptsColumnar(int port) const {
-    (void)port;
-    return false;
-  }
-
-  /// True for stateless forwarders (receiver/union/output): a node may
-  /// short-circuit a columnar batch past them on a linear chain, charging
-  /// their cost without materializing rows (see Node::ExecuteBatch).
-  virtual bool IsStatelessPassThrough() const { return false; }
-
   /// Closes windows up to `watermark` and appends derived tuples to `out`.
   virtual void Advance(SimTime watermark, std::vector<Tuple>* out) = 0;
 
@@ -71,16 +51,13 @@ class Operator {
   // Every stateful subclass overrides all three so that
   // RestoreFrom(Checkpoint(x)) reproduces x's mutable state bit for bit and
   // ResetState() matches a freshly constructed operator. The base class has
-  // no mutable state (columnar_scratch_ is per-call scratch), so the
-  // defaults write/read/reset nothing.
+  // no mutable state, so the defaults write/read/reset nothing.
 
   /// Serializes all mutable state (windows, accumulators, cross-pane
   /// scalars) into `w`.
   virtual void Checkpoint(CheckpointWriter* w) const { (void)w; }
   /// Replaces all mutable state with the image in `r`. The operator may be
-  /// in any state beforehand — implementations fully reset first, then
-  /// adopt the image's mode (e.g. a row image restores into row mode even
-  /// if the operator had promoted to columnar since capture).
+  /// in any state beforehand — implementations fully reset first.
   virtual void RestoreFrom(CheckpointReader* r) {
     (void)r;
     clear_checkpoint_dirt();
@@ -108,8 +85,7 @@ class Operator {
 
  protected:
   /// Accumulates checkpoint dirt; ingest paths call this with the SIC mass
-  /// of what they consumed. Mode switches (row -> columnar migration) must
-  /// not: they change representation, not state.
+  /// of what they consumed.
   void AddDirt(double sic) { ckpt_dirt_ += sic; }
 
  private:
@@ -117,9 +93,6 @@ class Operator {
   double cost_us_per_tuple_;
   double ckpt_dirt_ = 0.0;
   OperatorId id_ = kInvalidId;
-  // Scratch for the default IngestColumnar materialization; reused across
-  // batches so the row fallback stays allocation-free in steady state.
-  std::vector<Tuple> columnar_scratch_;
 };
 
 /// \brief Single-input operator that processes one window pane at a time.
@@ -143,11 +116,6 @@ class WindowedOperator : public Operator {
   /// Computes derived payloads for one atomic input set. Implementations must
   /// not set `sic`; timestamps default to the pane end if left at 0.
   virtual void ProcessPane(const Pane& pane, std::vector<Tuple>* out) = 0;
-
-  /// Window state access for subclasses with a columnar fast path that
-  /// migrates open row panes into incremental accumulators.
-  WindowBuffer& window() { return window_; }
-  const WindowBuffer& window() const { return window_; }
 
  private:
   WindowBuffer window_;
@@ -194,7 +162,6 @@ class PassThroughOperator : public Operator {
 
   void Ingest(const std::vector<Tuple>& tuples, int port) override;
   void Advance(SimTime watermark, std::vector<Tuple>* out) override;
-  bool IsStatelessPassThrough() const override { return true; }
   void Checkpoint(CheckpointWriter* w) const override;
   void RestoreFrom(CheckpointReader* r) override;
   void ResetState() override;

@@ -4,8 +4,6 @@
 #include <limits>
 
 #include "runtime/checkpoint.h"
-#include "runtime/columnar.h"
-#include "runtime/tumbling_panes.h"
 
 namespace themis {
 
@@ -59,19 +57,6 @@ std::string AggregateKindName(AggregateKind kind) {
   return "?";
 }
 
-// Incremental per-pane state used once the operator switches to columnar
-// mode. `sic_sum` accumulates tuple SIC in arrival order — the same addition
-// sequence Pane::TotalSic() performs at release time — so Eq. (3) shares stay
-// bit-identical to the row path.
-struct AggregateOp::Columnar {
-  struct PaneAcc {
-    Accumulator acc;
-    double sic_sum = 0.0;
-  };
-  explicit Columnar(SimDuration range) : panes(range) {}
-  TumblingPanes<PaneAcc> panes;
-};
-
 AggregateOp::AggregateOp(AggregateKind kind, int field, WindowSpec spec,
                          std::function<bool(const Tuple&)> having,
                          double cost_us_per_tuple)
@@ -80,192 +65,14 @@ AggregateOp::AggregateOp(AggregateKind kind, int field, WindowSpec spec,
       field_(field),
       having_(std::move(having)) {}
 
-AggregateOp::~AggregateOp() = default;
-
-bool AggregateOp::FastEligible() const {
-  return window().spec().kind == WindowKind::kTumblingTime && !having_;
-}
-
-bool AggregateOp::AcceptsColumnar(int port) const {
-  (void)port;
-  return col_ != nullptr || FastEligible();
-}
-
-void AggregateOp::AccumulateRow(const Tuple& t) {
-  Columnar::PaneAcc* pa = col_->panes.At(t.timestamp);
-  pa->sic_sum += t.sic;
-  if (having_ && !having_(t)) return;
-  if (static_cast<size_t>(field_) < t.values.size()) {
-    pa->acc.Add(AsDouble(t.values[field_]));
-  }
-}
-
-void AggregateOp::EnsureColumnarMode() {
-  if (col_) return;
-  col_ = std::make_unique<Columnar>(window().spec().range);
-  // Adopt the row buffer's release watermark, then migrate its open panes in
-  // ascending order (tuples keep their within-pane arrival order, which is
-  // the only order the per-pane sums observe).
-  col_->panes.SeedReleasedUpTo(window().released_up_to());
-  for (Pane& pane : window().DrainOpenTumbling()) {
-    for (const Tuple& t : pane.tuples) AccumulateRow(t);
-    window().Recycle(std::move(pane.tuples));
-  }
-}
-
-void AggregateOp::Ingest(const std::vector<Tuple>& tuples, int port) {
-  if (col_) {
-    for (const Tuple& t : tuples) {
-      AddDirt(t.sic);
-      AccumulateRow(t);
-    }
-    return;
-  }
-  WindowedOperator::Ingest(tuples, port);
-}
-
-void AggregateOp::IngestColumnar(const ColumnarBlock& block, int port) {
-  if (!col_ && !FastEligible()) {
-    Operator::IngestColumnar(block, port);
-    return;
-  }
-  EnsureColumnarMode();
-  const size_t n = block.rows();
-  if (n == 0) return;
-  const SimTime* ts = block.timestamps().data();
-  const double* sics = block.sics().data();
-  double block_sic = 0.0;
-  for (size_t i = 0; i < n; ++i) block_sic += sics[i];
-  AddDirt(block_sic);
-  const bool in_range = static_cast<size_t>(field_) < block.width();
-  if (in_range) {
-    const ColumnarBlock::Column& c = block.col(field_);
-    if (c.kind == Value::Kind::kDouble && c.dense) {
-      // Hot kernel: dense double column, contiguous reads, one pane lookup
-      // per timestamp change. The fold is specialized per aggregate kind —
-      // Finish() only reads the fields each kind maintains, so skipping the
-      // others changes no emitted bit.
-      const double* x = c.f64.data();
-      auto run = [&](auto&& fold) {
-        Columnar::PaneAcc* pa = col_->panes.At(ts[0]);
-        SimTime prev = ts[0];
-        for (size_t i = 0; i < n; ++i) {
-          if (ts[i] != prev) {
-            pa = col_->panes.At(ts[i]);
-            prev = ts[i];
-          }
-          pa->sic_sum += sics[i];
-          fold(pa->acc, x[i]);
-        }
-      };
-      switch (kind_) {
-        case AggregateKind::kAvg:
-        case AggregateKind::kSum:
-          run([](Accumulator& a, double v) {
-            a.sum += v;
-            ++a.n;
-          });
-          break;
-        case AggregateKind::kCount:
-          run([](Accumulator& a, double) { ++a.n; });
-          break;
-        case AggregateKind::kMax:
-          run([](Accumulator& a, double v) {
-            a.mx = std::max(a.mx, v);
-            ++a.n;
-          });
-          break;
-        case AggregateKind::kMin:
-          run([](Accumulator& a, double v) {
-            a.mn = std::min(a.mn, v);
-            ++a.n;
-          });
-          break;
-      }
-      return;
-    }
-  }
-  // Generic path: per-row validity + kind dispatch, same skip rule as the
-  // row loop (`field out of range` == column missing for that row).
-  Columnar::PaneAcc* pa = col_->panes.At(ts[0]);
-  SimTime prev = ts[0];
-  for (size_t i = 0; i < n; ++i) {
-    if (ts[i] != prev) {
-      pa = col_->panes.At(ts[i]);
-      prev = ts[i];
-    }
-    pa->sic_sum += sics[i];
-    if (in_range && block.col(field_).IsValid(i)) {
-      pa->acc.Add(block.col(field_).DoubleAt(i));
-    }
-  }
-}
-
-void AggregateOp::Advance(SimTime watermark, std::vector<Tuple>* out) {
-  if (!col_) {
-    WindowedOperator::Advance(watermark, out);
-    return;
-  }
-  col_->panes.Release(watermark, [&](SimTime end, Columnar::PaneAcc& pa) {
-    // Panes exist only if at least one tuple arrived, so the row path's
-    // ProcessPane always emits exactly one tuple per released pane; Eq. (3)
-    // then assigns it the full pane SIC mass and the pane-end timestamp.
-    Tuple result;
-    result.values.push_back(pa.acc.Finish(kind_));
-    result.sic = pa.sic_sum;
-    result.timestamp = end;
-    out->push_back(std::move(result));
-  });
-}
-
 void AggregateOp::Checkpoint(CheckpointWriter* w) const {
-  if (!col_) {
-    w->PutU8(0);
-    WindowedOperator::Checkpoint(w);
-    return;
-  }
-  w->PutU8(1);
-  w->PutI64(col_->panes.released_up_to());
-  w->PutU32(static_cast<uint32_t>(col_->panes.size()));
-  const Columnar& col = *col_;
-  col.panes.ForEach([&](int64_t idx, const Columnar::PaneAcc& pa) {
-    w->PutI64(idx);
-    w->PutDouble(pa.acc.sum);
-    w->PutDouble(pa.acc.mx);
-    w->PutDouble(pa.acc.mn);
-    w->PutU64(static_cast<uint64_t>(pa.acc.n));
-    w->PutDouble(pa.sic_sum);
-  });
+  w->PutU8(0);
+  WindowedOperator::Checkpoint(w);
 }
 
 void AggregateOp::RestoreFrom(CheckpointReader* r) {
-  ResetState();
-  if (r->GetU8() == 0) {
-    WindowedOperator::RestoreFrom(r);
-    return;
-  }
-  col_ = std::make_unique<Columnar>(window().spec().range);
-  col_->panes.SeedReleasedUpTo(r->GetI64());
-  uint32_t n = r->GetU32();
-  for (uint32_t i = 0; i < n && r->ok(); ++i) {
-    int64_t idx = r->GetI64();
-    Columnar::PaneAcc* pa = col_->panes.Insert(idx);
-    pa->acc.sum = r->GetDouble();
-    pa->acc.mx = r->GetDouble();
-    pa->acc.mn = r->GetDouble();
-    pa->acc.n = static_cast<size_t>(r->GetU64());
-    pa->sic_sum = r->GetDouble();
-  }
-}
-
-void AggregateOp::ResetState() {
-  col_.reset();
-  WindowedOperator::ResetState();
-}
-
-void AggregateOp::ReleaseState(BatchPool* pool) {
-  col_.reset();  // accumulators only, no tuple buffers to return
-  WindowedOperator::ReleaseState(pool);
+  r->GetU8();  // format tag
+  WindowedOperator::RestoreFrom(r);
 }
 
 void AggregateOp::ProcessPane(const Pane& pane, std::vector<Tuple>* out) {

@@ -6,7 +6,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -31,43 +30,21 @@ class AggregateOp : public WindowedOperator {
   AggregateOp(AggregateKind kind, int field, WindowSpec spec,
               std::function<bool(const Tuple&)> having = nullptr,
               double cost_us_per_tuple = 1.0);
-  ~AggregateOp() override;
 
   AggregateKind kind() const { return kind_; }
 
-  // Columnar fast path (tumbling windows without HAVING): the first
-  // columnar block switches the operator from row buffering to per-pane
-  // incremental accumulators — open row panes migrate in arrival order, so
-  // the switch (and any later row input) stays bit-identical to the row
-  // path. Ineligible configurations materialize via the base default.
-  bool AcceptsColumnar(int port) const override;
-  void IngestColumnar(const ColumnarBlock& block, int port) override;
-  void Ingest(const std::vector<Tuple>& tuples, int port) override;
-  void Advance(SimTime watermark, std::vector<Tuple>* out) override;
-
-  // Checkpoint seam: images are mode-tagged (row window vs columnar pane
-  // accumulators) and RestoreFrom adopts the image's mode after a full
-  // reset, so a row image restores a row operator even if the live twin had
-  // promoted to columnar since capture (and vice versa).
+  // Checkpoint seam: the window's image behind a leading format tag byte,
+  // always 0, so image bytes stay stable.
   void Checkpoint(CheckpointWriter* w) const override;
   void RestoreFrom(CheckpointReader* r) override;
-  void ResetState() override;
-  void ReleaseState(BatchPool* pool) override;
 
  protected:
   void ProcessPane(const Pane& pane, std::vector<Tuple>* out) override;
 
  private:
-  struct Columnar;  // per-pane accumulator state (defined in the .cc)
-
-  bool FastEligible() const;
-  void EnsureColumnarMode();
-  void AccumulateRow(const Tuple& t);
-
   AggregateKind kind_;
   int field_;
   std::function<bool(const Tuple&)> having_;
-  std::unique_ptr<Columnar> col_;
 };
 
 /// \brief Per-group windowed aggregate producing one tuple per group.

@@ -1,199 +1,22 @@
 #include "runtime/operators/filter_map.h"
 
-#include "runtime/batch_pool.h"
 #include "runtime/checkpoint.h"
-#include "runtime/columnar.h"
-#include "runtime/columnar_kernels.h"
-#include "runtime/tumbling_panes.h"
 
 namespace themis {
-
-// Incremental per-pane state for columnar mode: the pane's SIC mass
-// (accumulated in arrival order, matching Pane::TotalSic()) plus the tuples
-// that passed the predicate, in arrival order. Released panes emit the
-// passing tuples with share `sic_sum / |passing|` — exactly what
-// ProcessPane + FinalizeOutputs produce on the row path.
-struct FilterOp::Columnar {
-  struct PaneState {
-    double sic_sum = 0.0;
-    std::vector<Tuple> passing;
-  };
-  explicit Columnar(SimDuration range) : panes(range) {}
-  TumblingPanes<PaneState> panes;
-  SelectionVector sel;  // scratch, reused across blocks
-};
 
 FilterOp::FilterOp(std::function<bool(const Tuple&)> predicate, WindowSpec spec,
                    double cost_us_per_tuple)
     : WindowedOperator("filter", spec, cost_us_per_tuple),
       predicate_(std::move(predicate)) {}
 
-FilterOp::FilterOp(FieldPredicate predicate, WindowSpec spec,
-                   double cost_us_per_tuple)
-    : WindowedOperator("filter", spec, cost_us_per_tuple),
-      predicate_([predicate](const Tuple& t) { return predicate.Matches(t); }),
-      vec_pred_(predicate) {}
-
-FilterOp::~FilterOp() = default;
-
-bool FilterOp::FastEligible() const {
-  return vec_pred_.has_value() &&
-         window().spec().kind == WindowKind::kTumblingTime;
-}
-
-bool FilterOp::AcceptsColumnar(int port) const {
-  (void)port;
-  return col_ != nullptr || FastEligible();
-}
-
-void FilterOp::AccumulateRow(const Tuple& t) {
-  Columnar::PaneState* ps = col_->panes.At(t.timestamp);
-  ps->sic_sum += t.sic;
-  if (predicate_(t)) ps->passing.push_back(t);
-}
-
-void FilterOp::EnsureColumnarMode() {
-  if (col_) return;
-  col_ = std::make_unique<Columnar>(window().spec().range);
-  col_->panes.SeedReleasedUpTo(window().released_up_to());
-  for (Pane& pane : window().DrainOpenTumbling()) {
-    for (const Tuple& t : pane.tuples) AccumulateRow(t);
-    window().Recycle(std::move(pane.tuples));
-  }
-}
-
-void FilterOp::Ingest(const std::vector<Tuple>& tuples, int port) {
-  if (col_) {
-    for (const Tuple& t : tuples) {
-      AddDirt(t.sic);
-      AccumulateRow(t);
-    }
-    return;
-  }
-  WindowedOperator::Ingest(tuples, port);
-}
-
-void FilterOp::IngestColumnar(const ColumnarBlock& block, int port) {
-  if (!col_ && !FastEligible()) {
-    Operator::IngestColumnar(block, port);
-    return;
-  }
-  EnsureColumnarMode();
-  const size_t n = block.rows();
-  if (n == 0) return;
-  const SimTime* ts = block.timestamps().data();
-  const double* sics = block.sics().data();
-
-  // Pass 1: per-pane SIC accounting, arrival order.
-  {
-    double block_sic = 0.0;
-    Columnar::PaneState* ps = col_->panes.At(ts[0]);
-    SimTime prev = ts[0];
-    for (size_t i = 0; i < n; ++i) {
-      if (ts[i] != prev) {
-        ps = col_->panes.At(ts[i]);
-        prev = ts[i];
-      }
-      ps->sic_sum += sics[i];
-      block_sic += sics[i];
-    }
-    AddDirt(block_sic);
-  }
-
-  // Pass 2: vectorized selection into the scratch SelectionVector.
-  const FieldPredicate& p = *vec_pred_;
-  col_->sel.clear();
-  if (static_cast<size_t>(p.field) < block.width()) {
-    const ColumnarBlock::Column& c = block.col(p.field);
-    if (c.kind == Value::Kind::kDouble && c.dense) {
-      columnar::SelectWhere(c.f64.data(), n,
-                            [&p](double v) { return p.Compare(v); },
-                            &col_->sel);
-    } else {
-      for (size_t i = 0; i < n; ++i) {
-        if (c.IsValid(i) && p.Compare(c.DoubleAt(i))) {
-          col_->sel.push_back(static_cast<uint32_t>(i));
-        }
-      }
-    }
-  }
-
-  // Pass 3: materialize the selected rows into their panes, arrival order.
-  Columnar::PaneState* ps = nullptr;
-  SimTime prev = 0;
-  for (uint32_t i : col_->sel) {
-    if (ps == nullptr || ts[i] != prev) {
-      ps = col_->panes.At(ts[i]);
-      prev = ts[i];
-    }
-    ps->passing.emplace_back();
-    block.MaterializeRow(i, &ps->passing.back());
-  }
-}
-
-void FilterOp::Advance(SimTime watermark, std::vector<Tuple>* out) {
-  if (!col_) {
-    WindowedOperator::Advance(watermark, out);
-    return;
-  }
-  col_->panes.Release(watermark, [&](SimTime end, Columnar::PaneState& ps) {
-    if (ps.passing.empty()) return;  // FinalizeOutputs no-op: SIC mass lost
-    double share = ps.sic_sum / static_cast<double>(ps.passing.size());
-    for (Tuple& t : ps.passing) {
-      t.sic = share;
-      t.timestamp = end;
-      out->push_back(std::move(t));
-    }
-  });
-}
-
 void FilterOp::Checkpoint(CheckpointWriter* w) const {
-  if (!col_) {
-    w->PutU8(0);
-    WindowedOperator::Checkpoint(w);
-    return;
-  }
-  w->PutU8(1);
-  w->PutI64(col_->panes.released_up_to());
-  w->PutU32(static_cast<uint32_t>(col_->panes.size()));
-  const Columnar& col = *col_;
-  col.panes.ForEach([&](int64_t idx, const Columnar::PaneState& ps) {
-    w->PutI64(idx);
-    w->PutDouble(ps.sic_sum);
-    w->PutTuples(ps.passing);
-  });
+  w->PutU8(0);
+  WindowedOperator::Checkpoint(w);
 }
 
 void FilterOp::RestoreFrom(CheckpointReader* r) {
-  ResetState();
-  if (r->GetU8() == 0) {
-    WindowedOperator::RestoreFrom(r);
-    return;
-  }
-  col_ = std::make_unique<Columnar>(window().spec().range);
-  col_->panes.SeedReleasedUpTo(r->GetI64());
-  uint32_t n = r->GetU32();
-  for (uint32_t i = 0; i < n && r->ok(); ++i) {
-    int64_t idx = r->GetI64();
-    Columnar::PaneState* ps = col_->panes.Insert(idx);
-    ps->sic_sum = r->GetDouble();
-    r->GetTuples(&ps->passing);
-  }
-}
-
-void FilterOp::ResetState() {
-  col_.reset();
-  WindowedOperator::ResetState();
-}
-
-void FilterOp::ReleaseState(BatchPool* pool) {
-  if (col_) {
-    col_->panes.ForEach([pool](int64_t, Columnar::PaneState& ps) {
-      pool->ReleaseTuples(std::move(ps.passing));
-    });
-    col_.reset();
-  }
-  WindowedOperator::ReleaseState(pool);
+  r->GetU8();  // format tag
+  WindowedOperator::RestoreFrom(r);
 }
 
 void FilterOp::ProcessPane(const Pane& pane, std::vector<Tuple>* out) {

@@ -3,48 +3,10 @@
 #define THEMIS_RUNTIME_OPERATORS_FILTER_MAP_H_
 
 #include <functional>
-#include <memory>
-#include <optional>
 
 #include "runtime/operator.h"
 
 namespace themis {
-
-/// \brief Structured field-vs-threshold predicate (`t.values[field] CMP x`).
-///
-/// A FilterOp built from one of these can evaluate selection column-wise
-/// with the vectorized SelectWhere kernel instead of calling an opaque
-/// std::function per row. Matches() reproduces the row convention exactly:
-/// a tuple whose payload lacks `field` never matches.
-struct FieldPredicate {
-  enum class Cmp { kLt, kLe, kGt, kGe, kEq, kNe };
-
-  int field = 0;
-  Cmp cmp = Cmp::kGe;
-  double threshold = 0.0;
-
-  bool Compare(double v) const {
-    switch (cmp) {
-      case Cmp::kLt:
-        return v < threshold;
-      case Cmp::kLe:
-        return v <= threshold;
-      case Cmp::kGt:
-        return v > threshold;
-      case Cmp::kGe:
-        return v >= threshold;
-      case Cmp::kEq:
-        return v == threshold;
-      case Cmp::kNe:
-        return v != threshold;
-    }
-    return false;
-  }
-  bool Matches(const Tuple& t) const {
-    if (static_cast<size_t>(field) >= t.values.size()) return false;
-    return Compare(AsDouble(t.values[field]));
-  }
-};
 
 /// \brief Windowed selection: passes the pane tuples matching a predicate.
 ///
@@ -56,38 +18,16 @@ class FilterOp : public WindowedOperator {
  public:
   FilterOp(std::function<bool(const Tuple&)> predicate, WindowSpec spec,
            double cost_us_per_tuple = 0.6);
-  /// Structured-predicate constructor; enables the columnar selection fast
-  /// path (tumbling windows only — sliding/count fall back to rows).
-  FilterOp(FieldPredicate predicate, WindowSpec spec,
-           double cost_us_per_tuple = 0.6);
-  ~FilterOp() override;
 
-  // Columnar fast path: selection via SelectionVector over the predicate
-  // column; per-pane SIC accounting mirrors Pane::TotalSic() bit-for-bit.
-  bool AcceptsColumnar(int port) const override;
-  void IngestColumnar(const ColumnarBlock& block, int port) override;
-  void Ingest(const std::vector<Tuple>& tuples, int port) override;
-  void Advance(SimTime watermark, std::vector<Tuple>* out) override;
-
-  // Checkpoint seam, mode-tagged like AggregateOp (see aggregates.h).
+  // Checkpoint seam, with AggregateOp's format tag byte (see aggregates.h).
   void Checkpoint(CheckpointWriter* w) const override;
   void RestoreFrom(CheckpointReader* r) override;
-  void ResetState() override;
-  void ReleaseState(BatchPool* pool) override;
 
  protected:
   void ProcessPane(const Pane& pane, std::vector<Tuple>* out) override;
 
  private:
-  struct Columnar;  // per-pane selection state (defined in the .cc)
-
-  bool FastEligible() const;
-  void EnsureColumnarMode();
-  void AccumulateRow(const Tuple& t);
-
   std::function<bool(const Tuple&)> predicate_;
-  std::optional<FieldPredicate> vec_pred_;
-  std::unique_ptr<Columnar> col_;
 };
 
 /// \brief Per-tuple payload transformation (projection, arithmetic, rename).

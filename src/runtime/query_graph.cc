@@ -109,7 +109,6 @@ Result<std::unique_ptr<QueryGraph>> QueryBuilder::Build() {
   for (const auto& edges : graph_->out_edges_) {
     for (const Edge& e : edges) ++in_degree[e.to];
   }
-  graph_->in_degree_ = in_degree;  // Kahn consumes the working copy below
   std::vector<OperatorId> order;
   std::vector<OperatorId> frontier;
   for (size_t i = 0; i < n; ++i) {

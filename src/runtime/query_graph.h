@@ -55,13 +55,6 @@ class QueryGraph {
     }
     return out_edges_[id];
   }
-  /// Number of graph edges into `id` (0 for sources-only operators). Used by
-  /// the columnar short-circuit walk: a pass-through may only be skipped when
-  /// its consumer has a single producer, so ingestion order is unobservable.
-  int in_degree(OperatorId id) const {
-    if (id < 0 || static_cast<size_t>(id) >= in_degree_.size()) return 0;
-    return in_degree_[id];
-  }
   FragmentId fragment_of(OperatorId id) const {
     if (id < 0 || static_cast<size_t>(id) >= op_fragment_.size()) {
       return kInvalidId;
@@ -87,7 +80,6 @@ class QueryGraph {
   std::string label_;
   std::vector<std::unique_ptr<Operator>> ops_;  // index == OperatorId
   std::vector<std::vector<Edge>> out_edges_;    // index == OperatorId
-  std::vector<int> in_degree_;                  // index == OperatorId
   std::vector<FragmentId> op_fragment_;         // index == OperatorId
   std::map<FragmentId, std::vector<OperatorId>> fragments_;  // topo-ordered
   std::vector<SourceBinding> sources_;

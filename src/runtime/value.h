@@ -37,9 +37,9 @@ class Value {
   explicit Value(const std::string& s) : Value(std::string_view(s)) {}
   explicit Value(const char* s) : Value(std::string_view(s)) {}
 
-  /// Rebuilds a string value from an already-interned pool id (columnar
-  /// string columns store dictionary codes; materializing a row must not
-  /// re-intern, so the id round-trips verbatim).
+  /// Rebuilds a string value from an already-interned pool id (checkpoint
+  /// images store the id; restoring a tuple must not re-intern, so the id
+  /// round-trips verbatim).
   static Value FromInterned(uint32_t id) {
     Value v;
     v.s_ = id;

@@ -172,16 +172,6 @@ std::vector<Pane> WindowBuffer::AdvanceSliding(SimTime watermark) {
   return out;
 }
 
-std::vector<Pane> WindowBuffer::DrainOpenTumbling() {
-  std::vector<Pane> out;
-  out.reserve(open_.size());
-  for (auto& [idx, pane] : open_) out.push_back(std::move(pane));
-  open_.clear();
-  cached_idx_ = -1;
-  cached_pane_ = nullptr;
-  return out;
-}
-
 void WindowBuffer::Checkpoint(CheckpointWriter* w) const {
   w->PutI64(released_up_to_);
   w->PutU32(static_cast<uint32_t>(open_.size()));

@@ -73,14 +73,6 @@ class WindowBuffer {
   /// Number of buffered (not yet released) tuples.
   size_t buffered() const;
 
-  /// Tumbling only: removes and returns every open pane in ascending index
-  /// order (the order AdvanceTumbling would eventually release them),
-  /// leaving the release watermark untouched. Used by operators switching
-  /// from row buffering to incremental columnar accumulation mid-stream.
-  std::vector<Pane> DrainOpenTumbling();
-  /// End of the last released pane (the late-data clamp).
-  SimTime released_up_to() const { return released_up_to_; }
-
   /// Serializes the complete buffer state — open/ready panes, sliding and
   /// count buffers, the release watermark — into `w` (checkpoint seam).
   void Checkpoint(CheckpointWriter* w) const;

@@ -80,11 +80,7 @@ RunStatus ExecNode::RunSlice() {
 
   Operator* op = graph_->op(op_id_);
   while (std::optional<Batch> b = input_.TryPop()) {
-    if (b->is_columnar()) {
-      op->IngestColumnar(*b->columnar, b->header.dest_port);
-    } else {
-      op->Ingest(b->tuples, b->header.dest_port);
-    }
+    op->Ingest(b->tuples, b->header.dest_port);
     site_->ReleaseBatch(std::move(*b));
     input_.GrantCredit(sched_);
   }

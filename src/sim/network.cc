@@ -7,13 +7,8 @@
 
 namespace themis {
 
-Network::Network(EventQueue* queue, SimDuration default_latency,
-                 uint64_t jitter_seed)
-    : queue_(queue),
-      default_latency_(default_latency),
-      jitter_seed_(jitter_seed) {
-  lanes_.emplace_back(jitter_seed);
-}
+Network::Network(EventQueue* queue, SimDuration default_latency)
+    : queue_(queue), default_latency_(default_latency), lanes_(1) {}
 
 void Network::EnsureDim(size_t need) {
   if (need <= dim_) return;
@@ -98,15 +93,8 @@ SimDuration Network::MinCrossShardLatency(
 void Network::InstallShardPlan(ShardPlan plan) {
   plan_ = std::move(plan);
   sharded_ = true;
-  // One lane per shard. Lane 0 keeps the primary jitter stream (so a
-  // one-shard plan is byte-identical to the unsharded path); the other lanes
-  // fork deterministic per-shard streams off the same seed.
-  size_t shards = plan_.queues.size();
-  lanes_.clear();
-  lanes_.reserve(shards);
-  for (size_t s = 0; s < shards; ++s) {
-    lanes_.emplace_back(jitter_seed_ + 0x9e3779b97f4a7c15ULL * s);
-  }
+  // One lane per shard; the traffic counters restart from zero.
+  lanes_.assign(plan_.queues.size(), Lane{});
 }
 
 void Network::UpdateShardMap(std::vector<int> shard_of_node) {
@@ -154,9 +142,6 @@ void Network::Send(NodeId from, NodeId to, size_t payload_bytes,
   ++lane.messages;
   lane.bytes += payload_bytes;
   SimDuration lat = Latency(from, to);
-  if (jitter_ > 0) {
-    lat += static_cast<SimDuration>(lane.jitter_rng.UniformInt(0, jitter_));
-  }
   if (!sharded_) {
     queue_->ScheduleAfter(lat, std::move(on_delivery));
     return;

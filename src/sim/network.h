@@ -1,6 +1,6 @@
 // Simulated network: point-to-point links with configurable latency (the
-// paper's 5 ms LAN star topology, or 50 ms WAN links for §7.4) plus optional
-// jitter. Counts messages and payload bytes for the §7.6 overhead report.
+// paper's 5 ms LAN star topology, or 50 ms WAN links for §7.4). Counts
+// messages and payload bytes for the §7.6 overhead report.
 //
 // Link latencies live in a dense (n+1)x(n+1) matrix indexed by node id
 // (row/column 0 is the pseudo source node kInvalidId), so the per-message
@@ -10,9 +10,9 @@
 // Sharded operation: after InstallShardPlan, Send routes same-shard traffic
 // straight onto the executing shard's queue and hands cross-shard traffic to
 // the engine's CrossShardSink. Per-shard "lanes" keep the traffic counters
-// and the jitter RNG stream thread-local to the executing shard, so the
-// parallel engine runs without locks; without a plan there is exactly one
-// lane and behaviour is byte-identical to the historical single-queue path.
+// thread-local to the executing shard, so the parallel engine runs without
+// locks; without a plan there is exactly one lane and behaviour is
+// byte-identical to the historical single-queue path.
 //
 // Dynamic topology: once a shard plan is installed the immediate setters
 // reject edits (the parallel engine's lookahead is derived from the
@@ -31,7 +31,6 @@
 #include <vector>
 
 #include "common/function.h"
-#include "common/rng.h"
 #include "common/status.h"
 #include "common/time_types.h"
 #include "runtime/ids.h"
@@ -43,15 +42,9 @@ namespace themis {
 /// \brief Latency-modelled message delivery between FSPS nodes.
 class Network {
  public:
-  /// Historical jitter stream seed; kept as the default so pre-existing
-  /// configurations reproduce their figures byte-for-byte.
-  static constexpr uint64_t kDefaultJitterSeed = 7;
-
   /// \param queue event queue delivering messages (single-shard operation)
   /// \param default_latency link latency when no override is set
-  /// \param jitter_seed seed of the per-message jitter stream
-  Network(EventQueue* queue, SimDuration default_latency = Millis(5),
-          uint64_t jitter_seed = kDefaultJitterSeed);
+  Network(EventQueue* queue, SimDuration default_latency = Millis(5));
 
   /// Overrides the latency of the (a, b) link, both directions. Topology is
   /// frozen once a shard plan is installed — late edits return
@@ -59,8 +52,6 @@ class Network {
   /// to defer them to the next epoch boundary.
   Status SetLatency(NodeId a, NodeId b, SimDuration latency);
   Status SetDefaultLatency(SimDuration latency);
-  /// Uniform jitter in [0, jitter] added per message (0 disables).
-  void SetJitter(SimDuration jitter) { jitter_ = jitter; }
 
   /// Defers a link-latency edit to the next ApplyQueuedMutations() call.
   /// Legal at any time, sharded or not; edits apply in FIFO order.
@@ -87,7 +78,7 @@ class Network {
   /// Minimum base latency over node pairs assigned to different shards in
   /// `shard_of_node` (indexed by NodeId, covering all nodes); this is the
   /// safe conservative lookahead for a sharded run. Returns -1 when no pair
-  /// crosses shards. Jitter only adds latency, so it never tightens this.
+  /// crosses shards.
   ///
   /// `alive`, when non-empty (indexed by NodeId like `shard_of_node`),
   /// restricts the scan to pairs of live nodes: links touching a crashed
@@ -101,9 +92,8 @@ class Network {
 
   /// Replaces the node->shard map of the installed plan in place — the
   /// elastic re-balance path. Unlike InstallShardPlan it keeps the per-shard
-  /// lanes (jitter RNG streams and traffic counters stay with their shards),
-  /// so a re-balance never rewinds or reseeds a jitter stream. Only legal
-  /// between engine runs, with a plan installed.
+  /// lanes (traffic counters stay with their shards). Only legal between
+  /// engine runs, with a plan installed.
   void UpdateShardMap(std::vector<int> shard_of_node);
 
   /// Elastic mode: every sharded delivery is wrapped so that a message in
@@ -154,16 +144,12 @@ class Network {
   /// Per-shard mutable state, padded so two shards' counters never share a
   /// cache line. Lane 0 doubles as the single-shard state.
   struct alignas(64) Lane {
-    Rng jitter_rng;
     uint64_t messages = 0;
     uint64_t bytes = 0;
-    explicit Lane(uint64_t seed) : jitter_rng(seed) {}
   };
 
   EventQueue* queue_;
   SimDuration default_latency_;
-  SimDuration jitter_ = 0;
-  uint64_t jitter_seed_;
   std::vector<SimDuration> matrix_;  // dim_ x dim_, kNoOverride = default
   size_t dim_ = 0;
   std::vector<PendingMutation> pending_;

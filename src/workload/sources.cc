@@ -92,47 +92,14 @@ void SourceDriver::GenerateBatch(uint64_t gen) {
 
   // Generate straight into a (pooled) batch buffer; source tuples carry
   // sic == 0 until Eq. (1) stamping at node ingress.
-  const bool columnar = model_.columnar && columnar_ok_;
-  Batch b;
-  if (columnar) {
-    b = pool_ != nullptr ? pool_->AcquireColumnar() : Batch{};
-    if (b.columnar == nullptr) b.columnar = std::make_unique<ColumnarBlock>();
-    b.columnar->ReserveRows(n);
-  } else {
-    b = pool_ != nullptr ? pool_->Acquire() : Batch{};
-    b.tuples.reserve(n);
-  }
+  Batch b = pool_ != nullptr ? pool_->Acquire() : Batch{};
+  b.tuples.reserve(n);
   b.header.query_id = query_;
   b.header.dest_op = target_op_;
   b.header.dest_port = target_port_;
   b.header.created = now;
   b.header.source = source_;
-  Tuple scratch;
   for (size_t i = 0; i < n; ++i) {
-    if (b.is_columnar()) {
-      if (!model_.payload) {
-        // Same generator call in the same sequence as the row loop — the
-        // emitted value bits are identical in either representation.
-        b.columnar->AppendRow(now, 0.0, value_gen_->Next(now));
-        continue;
-      }
-      scratch.timestamp = now;
-      scratch.sic = 0.0;
-      scratch.values = model_.payload(now);
-      if (b.columnar->AppendTuple(scratch)) continue;
-      // Field-kind clash: this payload cannot go columnar. Demote the batch
-      // to rows mid-flight (AppendTuple left the block untouched) and stop
-      // attempting columnar generation for this source.
-      b.columnar->MaterializeInto(&b.tuples);
-      if (pool_ != nullptr) {
-        pool_->ReleaseBlock(std::move(b.columnar));
-      } else {
-        b.columnar.reset();
-      }
-      columnar_ok_ = false;
-      b.tuples.push_back(std::move(scratch));
-      continue;
-    }
     Tuple& t = b.tuples.emplace_back();
     t.timestamp = now;
     if (model_.payload) {

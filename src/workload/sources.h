@@ -43,11 +43,6 @@ struct SourceModel {
   /// the diurnal peak is the autoscaler's worst case.
   double diurnal_amplitude = 0.0;
   SimDuration diurnal_period = Seconds(60);
-  /// Emit batches in columnar (SoA) representation instead of row tuples.
-  /// Payload values and delivery order are identical either way (the value
-  /// generator is consumed in the same sequence); a payload whose field
-  /// kinds vary between tuples demotes the driver back to rows.
-  bool columnar = false;
 };
 
 /// \brief Event-driven batch generator for one source.
@@ -110,9 +105,6 @@ class SourceDriver {
   uint64_t tuples_generated_ = 0;
   bool started_ = false;
   bool stopped_ = false;
-  // Cleared after a payload kind-clash: this source's payloads cannot be
-  // stored columnar, so later batches skip the attempt.
-  bool columnar_ok_ = true;
   // Elastic migration state (see Node's counterpart).
   uint64_t generation_ = 0;
   SimTime next_generate_at_ = 0;

@@ -1,19 +1,18 @@
 // Checkpoint/restore seam tests (runtime/checkpoint.h): byte-exact
 // round-trips of window state (tumbling, sliding, count), binary pending
-// panes, pass-through buffers and cross-pane scalars; row/columnar twins of
-// the aggregate and filter fast paths restored from the same image,
-// including mode adoption when capture and restore straddle a columnar
-// promotion; and the store semantics the federation relies on (approximate
+// panes, pass-through buffers and cross-pane scalars; mid-pane aggregate
+// (all five kinds) and filter images restored over operators that hold other
+// state; and the store semantics the federation relies on (approximate
 // skip-if-clean, restore-or-reset, image hand-over, undeploy erasure,
 // truncated-image degradation).
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstring>
+#include <ostream>
 #include <vector>
 
 #include "runtime/checkpoint.h"
-#include "runtime/columnar.h"
 #include "runtime/operator.h"
 #include "runtime/operators/aggregates.h"
 #include "runtime/operators/filter_map.h"
@@ -22,6 +21,12 @@
 #include "runtime/window.h"
 
 namespace themis {
+
+// Parameterized test names print the aggregate kind ("avg", "max", ...).
+void PrintTo(AggregateKind kind, std::ostream* os) {
+  *os << AggregateKindName(kind);
+}
+
 namespace {
 
 bool SameBits(double a, double b) {
@@ -243,15 +248,7 @@ TEST(OperatorCheckpointTest, DeltaPreviousMeanCrossesTheImage) {
   ExpectBitIdentical(out_a, out_b);
 }
 
-// --- row/columnar twins (all five aggregate kinds) ------------------------
-
-ColumnarBlock BlockOf(const std::vector<Tuple>& rows) {
-  ColumnarBlock block;
-  for (const Tuple& t : rows) {
-    EXPECT_TRUE(block.AppendTuple(t));
-  }
-  return block;
-}
+// --- mid-pane images restored over other state ----------------------------
 
 std::vector<Tuple> MakeRows(int lo, int hi) {
   std::vector<Tuple> rows;
@@ -261,74 +258,56 @@ std::vector<Tuple> MakeRows(int lo, int hi) {
   return rows;
 }
 
-class AggregateTwinCheckpointTest
+// Captures `source` mid-pane (pane [0 s, 1 s) released, [1 s, 2 s) open)
+// and restores the image over `other`, which holds rows of a later pane. The
+// restore must replace that state completely: `other` re-captures the same
+// bytes, and fed the same rows (late ones included, which the restored
+// release watermark folds forward) both release bit-identical panes, with
+// nothing left of `other`'s own rows.
+void ExpectMidPaneImageReplacesOtherState(Operator& source, Operator& other) {
+  source.Ingest(MakeRows(0, 60), 0);
+  ASSERT_FALSE(Advance(source, kSecond).empty());
+  std::vector<uint8_t> image = Image(source);
+
+  other.Ingest(MakeRows(200, 230), 0);  // pane [5 s, 6 s)
+  Restore(&other, image);
+  EXPECT_EQ(Image(other), image);
+
+  std::vector<Tuple> more = MakeRows(30, 35);  // late: before 1 s
+  std::vector<Tuple> tail = MakeRows(60, 100);
+  more.insert(more.end(), tail.begin(), tail.end());
+  source.Ingest(more, 0);
+  other.Ingest(more, 0);
+  std::vector<Tuple> out = Advance(source, 6 * kSecond);
+  ASSERT_FALSE(out.empty());
+  ExpectBitIdentical(out, Advance(other, 6 * kSecond));
+}
+
+class AggregateCheckpointTest
     : public ::testing::TestWithParam<AggregateKind> {};
 
-// One image, two modes: a columnar-mode capture restored into a never-
-// promoted row twin must adopt columnar mode, and both twins — continuing
-// on different representations of the same input — release bit-identical
-// panes.
-TEST_P(AggregateTwinCheckpointTest, TwinsRestoredFromOneImageMatchBitwise) {
+TEST_P(AggregateCheckpointTest, MidPaneImageRestoresOverOtherState) {
   WindowSpec spec = WindowSpec::TumblingTime(kSecond);
-  AggregateOp col_twin(GetParam(), 0, spec);
-  col_twin.IngestColumnar(BlockOf(MakeRows(0, 60)), 0);  // promotes
-  ASSERT_TRUE(col_twin.AcceptsColumnar(0));
-
-  std::vector<uint8_t> image = Image(col_twin);
-  AggregateOp row_twin(GetParam(), 0, spec);
-  row_twin.Ingest(MakeRows(200, 210), 0);  // dirty row state, fully replaced
-  Restore(&row_twin, image);
-
-  // Continue both from the image: the row twin gets rows, the columnar twin
-  // the same tuples as a block (mid-batch demotion/promotion indifference).
-  std::vector<Tuple> more = MakeRows(60, 100);
-  row_twin.Ingest(more, 0);
-  col_twin.IngestColumnar(BlockOf(more), 0);
-  ExpectBitIdentical(Advance(row_twin, 3 * kSecond),
-                     Advance(col_twin, 3 * kSecond));
+  AggregateOp source(GetParam(), 0, spec);
+  AggregateOp other(GetParam(), 0, spec);
+  ExpectMidPaneImageReplacesOtherState(source, other);
 }
 
-// The reverse direction: a row-mode image restored into a previously
-// promoted operator demotes it back to the row path.
-TEST_P(AggregateTwinCheckpointTest, RowImageDemotesAPromotedOperator) {
-  WindowSpec spec = WindowSpec::TumblingTime(kSecond);
-  AggregateOp row_source(GetParam(), 0, spec);
-  row_source.Ingest(MakeRows(0, 30), 0);
-
-  AggregateOp promoted(GetParam(), 0, spec);
-  promoted.IngestColumnar(BlockOf(MakeRows(500, 540)), 0);
-  ASSERT_TRUE(promoted.AcceptsColumnar(0));
-  Restore(&promoted, Image(row_source));
-
-  std::vector<Tuple> more = MakeRows(30, 80);
-  row_source.Ingest(more, 0);
-  promoted.Ingest(more, 0);
-  ExpectBitIdentical(Advance(row_source, 3 * kSecond),
-                     Advance(promoted, 3 * kSecond));
-}
-
-INSTANTIATE_TEST_SUITE_P(AllKinds, AggregateTwinCheckpointTest,
+INSTANTIATE_TEST_SUITE_P(AllKinds, AggregateCheckpointTest,
                          ::testing::Values(AggregateKind::kAvg,
                                            AggregateKind::kMax,
                                            AggregateKind::kMin,
                                            AggregateKind::kSum,
                                            AggregateKind::kCount));
 
-TEST(FilterCheckpointTest, ColumnarSelectionStateRoundTrips) {
-  FieldPredicate pred;
-  pred.field = 0;
-  pred.cmp = FieldPredicate::Cmp::kGe;
-  pred.threshold = 0.0;
-  FilterOp a(pred, WindowSpec::TumblingTime(kSecond));
-  a.IngestColumnar(BlockOf(MakeRows(0, 60)), 0);  // promotes
-  ASSERT_TRUE(a.AcceptsColumnar(0));
-
-  FilterOp b(pred, WindowSpec::TumblingTime(kSecond));
-  Restore(&b, Image(a));
-  std::vector<Tuple> more = MakeRows(60, 90);
-  a.IngestColumnar(BlockOf(more), 0);
-  b.Ingest(more, 0);
-  ExpectBitIdentical(Advance(a, 3 * kSecond), Advance(b, 3 * kSecond));
+TEST(FilterCheckpointTest, MidPaneImageRestoresOverOtherState) {
+  auto non_negative = [](const Tuple& t) {
+    return AsDouble(t.values[0]) >= 0.0;
+  };
+  WindowSpec spec = WindowSpec::TumblingTime(kSecond);
+  FilterOp source(non_negative, spec);
+  FilterOp other(non_negative, spec);
+  ExpectMidPaneImageReplacesOtherState(source, other);
 }
 
 // --- store semantics ------------------------------------------------------

@@ -109,40 +109,6 @@ TEST(NetworkTest, CountsTraffic) {
   EXPECT_EQ(net.bytes_sent(), 250u);
 }
 
-TEST(NetworkTest, JitterStaysWithinBound) {
-  EventQueue q;
-  Network net(&q, Millis(10));
-  net.SetJitter(Millis(5));
-  for (int i = 0; i < 50; ++i) {
-    SimTime sent = q.now();
-    SimTime got = -1;
-    net.Send(0, 1, 1, [&] { got = q.now(); });
-    q.RunAll();
-    EXPECT_GE(got - sent, Millis(10));
-    EXPECT_LE(got - sent, Millis(15));
-  }
-}
-
-TEST(NetworkTest, JitterStreamFollowsSeed) {
-  // Two networks with the same seed draw identical jitter sequences; a
-  // different seed gives a different sequence (Fsps derives the seed from
-  // FspsOptions::seed so instances never share a stream).
-  auto draw = [](uint64_t seed) {
-    EventQueue q;
-    Network net(&q, Millis(10), seed);
-    net.SetJitter(Millis(8));
-    std::vector<SimTime> deltas;
-    for (int i = 0; i < 20; ++i) {
-      SimTime sent = q.now();
-      net.Send(0, 1, 1, [&, sent] { deltas.push_back(q.now() - sent); });
-      q.RunAll();
-    }
-    return deltas;
-  };
-  EXPECT_EQ(draw(7), draw(7));
-  EXPECT_NE(draw(7), draw(8));
-}
-
 TEST(NetworkTest, LatencyMatrixGrowsWithNodeIds) {
   // The dense matrix grows on demand and keeps earlier overrides; ids
   // beyond any override still resolve to the default.
