@@ -107,7 +107,7 @@ int main(int argc, char** argv) {
     perf.AddMetric("unrecovered", waves.unrecovered);
     perf.AddMetric("min_jain", waves.min_jain);
     // Fairness recovery (ROADMAP item 5): censored mean time for the Jain
-    // index to regain jain_recover_fraction of its pre-fault value.
+    // index to regain 95% of its pre-fault value.
     perf.AddMetric("mean_jain_ttr_ms", waves.mean_jain_ttr_ms);
     perf.AddMetric("jain_dips", waves.jain_dips);
 

@@ -304,9 +304,6 @@ int RunOracle(PerfRecorder& perf, bool quick) {
   opts.workers = 0;
   opts.cpu_speed = kOracleCpuSpeed;
   opts.accounting = CostAccounting::kModeled;
-  opts.pace_admission = true;
-  opts.disseminate_sic = false;
-  opts.channel_capacity = 1 << 20;
   ServerPipeline pipeline(opts, &clock,
                           std::make_unique<BalanceSicShedder>(Rng(7)));
   for (const auto& g : server_graphs) pipeline.AddQuery(g.get());

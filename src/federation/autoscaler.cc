@@ -9,6 +9,23 @@
 
 namespace themis {
 
+namespace {
+
+// Grow when utilization stays above this for kHysteresisTicks ticks.
+constexpr double kGrowUtilization = 0.85;
+// Consecutive out-of-band ticks required before acting: one bursty second
+// must not trigger a join wave.
+constexpr int kHysteresisTicks = 2;
+// Nodes added per grow action (decommissioned nodes restore first).
+constexpr int kGrowStep = 2;
+// Nodes decommissioned per shrink action.
+constexpr int kShrinkStep = 1;
+// Re-balance, even without an action, when max shard load exceeds mean
+// shard load by this factor (load skew from churn or uneven arrivals).
+constexpr double kRebalanceSkew = 1.5;
+
+}  // namespace
+
 Autoscaler::Autoscaler(Fsps* fsps, const ScaleScenario& scenario,
                        AutoscalerOptions options)
     : fsps_(fsps),
@@ -17,7 +34,6 @@ Autoscaler::Autoscaler(Fsps* fsps, const ScaleScenario& scenario,
       lan_latency_(scenario.options.lan_latency),
       stw_(fsps->options().node.stw),
       cluster_of_node_(scenario.cluster_of_node) {
-  THEMIS_CHECK(options_.hysteresis_ticks >= 1);
   THEMIS_CHECK(stw_ > 0);
 }
 
@@ -67,7 +83,7 @@ Status Autoscaler::Tick() {
   double util = Utilization(now);
   last_utilization_ = util;
 
-  if (util > options_.grow_utilization) {
+  if (util > kGrowUtilization) {
     ++grow_streak_;
     shrink_streak_ = 0;
   } else if (util < options_.shrink_utilization) {
@@ -98,12 +114,12 @@ Status Autoscaler::Tick() {
   std::vector<NodeId> pending_decoms;
   bool acted = false;
 
-  if (grow_streak_ >= options_.hysteresis_ticks) {
+  if (grow_streak_ >= kHysteresisTicks) {
     grow_streak_ = 0;
     int cluster = BusiestCluster(now);
     int shards = fsps_->engine()->num_shards();
     size_t restorable = decommissioned_.size();
-    for (int i = 0; i < options_.grow_step; ++i) {
+    for (int i = 0; i < kGrowStep; ++i) {
       if (pending_restores.size() < restorable) {
         // Re-grow from the decommission pool first: the node object, its
         // links and its shard pinning are all still there.
@@ -139,7 +155,7 @@ Status Autoscaler::Tick() {
       pending_adds.push_back({id, cluster});
     }
     acted = !pending_adds.empty() || !pending_restores.empty();
-  } else if (shrink_streak_ >= options_.hysteresis_ticks) {
+  } else if (shrink_streak_ >= kHysteresisTicks) {
     shrink_streak_ = 0;
     // Decommission the least-loaded of the nodes this autoscaler added
     // (the base federation never shrinks); ties break by ascending id.
@@ -149,7 +165,7 @@ Status Autoscaler::Tick() {
       candidates.push_back({fsps_->node(id)->OfferedLoadUs(now), id});
     }
     std::sort(candidates.begin(), candidates.end());
-    int take = std::min<int>(options_.shrink_step,
+    int take = std::min<int>(kShrinkStep,
                              static_cast<int>(candidates.size()));
     for (int i = 0; i < take; ++i) {
       pending_decoms.push_back(candidates[i].second);
@@ -158,11 +174,7 @@ Status Autoscaler::Tick() {
     acted = !pending_decoms.empty();
   }
 
-  bool want_rebalance = acted && options_.rebalance_on_action;
-  if (!want_rebalance && options_.rebalance_skew > 0.0 &&
-      ShardSkew(now) > options_.rebalance_skew) {
-    want_rebalance = true;
-  }
+  bool want_rebalance = acted || ShardSkew(now) > kRebalanceSkew;
   bool staged_rebalance = false;
   if (want_rebalance && fsps_->engine()->num_shards() > 1) {
     std::vector<int> groups = cluster_of_node_;
@@ -190,7 +202,7 @@ Status Autoscaler::Tick() {
     char util_buf[32];
     std::snprintf(util_buf, sizeof(util_buf), "%.4f", util);
     line << "autoscaler decision t_us=" << now << " util=" << util_buf
-         << " grow_util=" << options_.grow_utilization
+         << " grow_util=" << kGrowUtilization
          << " shrink_util=" << options_.shrink_utilization
          << " grow_streak=" << grow_streak
          << " shrink_streak=" << shrink_streak << " action=" << action

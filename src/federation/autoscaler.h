@@ -22,34 +22,24 @@
 
 namespace themis {
 
-/// Control-loop knobs; the elastic bench tunes the thresholds so its
-/// diurnal + burst load swings through both per diurnal period.
+/// Control-loop knobs; the elastic bench tunes the shrink threshold so its
+/// diurnal + burst load swings through both thresholds per diurnal period.
+/// The rest of the loop is fixed: grow above 85% utilization, act after 2
+/// consecutive out-of-band ticks, grow by 2 nodes, shrink by 1, and stage a
+/// shard re-balance with every action or when shard load skews past 1.5x.
 struct AutoscalerOptions {
   /// First tick of a replayed run (ReplayScenario); leaves ramp-up time
   /// for rate estimation.
   SimTime first_tick = Seconds(4);
   /// Decision cadence; ticks run between RunFor segments.
   SimDuration tick_interval = Seconds(2);
-  /// Grow when utilization (offered busy-time / live capacity over the
-  /// trailing STW) stays above this for `hysteresis_ticks` ticks...
-  double grow_utilization = 0.85;
-  /// ...and shrink when it stays below this.
+  /// Shrink when utilization (offered busy-time / live capacity over the
+  /// trailing STW) stays below this (only nodes this autoscaler added are
+  /// decommissioned; the base federation is never shrunk below its initial
+  /// size).
   double shrink_utilization = 0.35;
-  /// Consecutive out-of-band ticks required before acting: one bursty
-  /// second must not trigger a join wave.
-  int hysteresis_ticks = 2;
-  /// Nodes added per grow action (decommissioned nodes restore first).
-  int grow_step = 2;
-  /// Nodes decommissioned per shrink action (only nodes this autoscaler
-  /// added; the base federation is never shrunk below its initial size).
-  int shrink_step = 1;
   /// Hard ceiling on autoscaler-added nodes (0 = unlimited).
   int max_added_nodes = 0;
-  /// Stage a shard re-balance in the same plan as any grow/shrink action.
-  bool rebalance_on_action = true;
-  /// Also re-balance when max shard load exceeds mean shard load by this
-  /// factor (load skew from churn or uneven arrivals); 0 disables.
-  double rebalance_skew = 1.5;
 };
 
 /// Counters of one autoscaler's lifetime (reported by the elastic bench).

@@ -2,6 +2,13 @@
 
 namespace themis {
 
+namespace {
+
+// Wire size of one updateSIC(Q) message (§7.6 reports 30 bytes).
+constexpr size_t kUpdateMessageBytes = 30;
+
+}  // namespace
+
 QueryCoordinator::QueryCoordinator(const QueryGraph* graph, Options options,
                                    EventQueue* queue, Network* network)
     : graph_(graph),
@@ -62,7 +69,7 @@ void QueryCoordinator::Disseminate(uint64_t gen) {
   double sic = CurrentSic();
   QueryId q = graph_->id();
   for (auto& [node_id, node] : hosts_) {
-    network_->Send(home_, node_id, options_.update_message_bytes,
+    network_->Send(home_, node_id, kUpdateMessageBytes,
                    [node, q, sic] { node->UpdateQuerySic(q, sic); });
   }
   ArmDisseminate(queue_->now() + options_.update_interval);

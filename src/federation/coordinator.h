@@ -34,8 +34,6 @@ class QueryCoordinator {
     /// Record result tuples for offline correctness comparison. Off by
     /// default: multi-node experiments would hold megabytes of payloads.
     bool record_results = false;
-    /// Size of one dissemination message (§7.6 reports 30 bytes).
-    size_t update_message_bytes = 30;
     /// Dissemination on/off; off reproduces the Fig. 4 "without
     /// updateSIC(Q)" ablation where nodes shed in isolation.
     bool disseminate = true;

@@ -7,7 +7,6 @@ namespace themis {
 std::unique_ptr<Fsps> MakeElasticFederation(const ChurnScenario& scenario,
                                             FspsOptions base) {
   base.elastic = true;
-  base.load_signal = LoadSignalKind::kArrivalCost;
   // Orphan re-placement should use the same forward-looking ranking the
   // autoscaler trusts (a shedding-saturated node must not look idle).
   base.replacement = ReplacementPolicy::kSicAware;

@@ -37,8 +37,9 @@ struct ElasticRunResult {
 };
 
 /// Builds the Fsps for the scenario: MakeChurnFederation with the elastic
-/// control plane on (FspsOptions::elastic) and the forward-looking
-/// arrival-cost load signal. `base.shards` sets the shard count.
+/// control plane on (FspsOptions::elastic, which also ranks nodes by the
+/// forward-looking arrival-cost load signal) and kSicAware re-placement.
+/// `base.shards` sets the shard count.
 std::unique_ptr<Fsps> MakeElasticFederation(const ChurnScenario& scenario,
                                             FspsOptions base = {});
 

@@ -75,14 +75,11 @@ Status Fsps::ValidateAddNode(int shard) const {
 }
 
 NodeId Fsps::AddNodeNow(NodeOptions node_options, int shard) {
-  // The offered-load tracker only runs when something reads it — the
-  // arrival-cost placement signal or the elastic control plane (its
-  // autoscaler and re-balancer weigh nodes by OfferedLoadUs). Keeping it
-  // off otherwise preserves the historical data-plane allocation counts.
-  if (options_.load_signal == LoadSignalKind::kArrivalCost ||
-      options_.elastic) {
-    node_options.track_arrivals = true;
-  }
+  // The offered-load tracker only runs when something reads it: the
+  // elastic control plane (its load signal, autoscaler and re-balancer
+  // weigh nodes by OfferedLoadUs). Keeping it off otherwise preserves the
+  // historical data-plane allocation counts.
+  if (options_.elastic) node_options.track_arrivals = true;
   NodeId id = static_cast<NodeId>(nodes_.size());
   int shards = engine_->num_shards();
   int s = shard == kAutoShard ? id % shards : shard;
@@ -737,10 +734,9 @@ void Fsps::ReplaceOrphans(QueryId q, NodeId crashed) {
     auto orphans = std::count(node_of.begin(), node_of.end(), crashed);
     if (orphans > 0) {
       // The projected mass must be in the same unit as the ranking signal.
-      double carried =
-          options_.load_signal == LoadSignalKind::kArrivalCost
-              ? nodes_[crashed]->OfferedLoadUs(q, now)
-              : nodes_[crashed]->AcceptedSic(q, now);
+      double carried = options_.elastic
+                           ? nodes_[crashed]->OfferedLoadUs(q, now)
+                           : nodes_[crashed]->AcceptedSic(q, now);
       orphan_mass = carried / static_cast<double>(orphans);
     }
   }
@@ -817,9 +813,7 @@ void Fsps::ReplaceOrphans(QueryId q, NodeId crashed) {
 
 double Fsps::NodeLoadSignal(NodeId id, SimTime now) {
   Node* n = nodes_[id].get();
-  if (options_.load_signal == LoadSignalKind::kArrivalCost) {
-    return n->OfferedLoadUs(now);
-  }
+  if (options_.elastic) return n->OfferedLoadUs(now);
   double accepted = 0.0;
   for (QueryId q : n->HostedQueries()) {
     accepted += n->AcceptedSic(q, now);

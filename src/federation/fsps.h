@@ -65,21 +65,21 @@ struct FspsOptions {
   /// PR 4 round-robin cursor byte-for-byte; kSicAware moves orphans to the
   /// least-overloaded live candidate (see federation/placement.h).
   ReplacementPolicy replacement = ReplacementPolicy::kRoundRobin;
-  /// What per-node signal ranks the kSicAware candidates and weighs the
-  /// elastic re-balancer's groups. The default keeps the PR 5/6 trailing
-  /// accepted-SIC figures byte-identical; kArrivalCost is forward-looking
-  /// (arrival rate x measured per-tuple cost) and is what the elastic
-  /// federation uses — an overloaded node that sheds hard no longer looks
-  /// idle to the placer.
-  LoadSignalKind load_signal = LoadSignalKind::kAcceptedSic;
   /// Elastic mode: the sharded engine admits mid-run topology growth
   /// (AddNode after Start) and shard re-balancing (TopologyPlan::Rebalance)
   /// by wrapping every sharded delivery in a re-forwarding trampoline (see
   /// ParallelEngine::EnableElastic for the migration protocol). Off by
   /// default: the wrapper costs one allocation per message, and elastic
   /// runs at different shard counts may diverge from each other (run-to-run
-  /// determinism at a fixed count still holds exactly). Irrelevant at
-  /// shards == 1.
+  /// determinism at a fixed count still holds exactly). The trampoline is
+  /// a no-op at shards == 1.
+  ///
+  /// Elastic mode also picks the per-node load signal that ranks kSicAware
+  /// candidates and weighs the re-balancer's groups: forward-looking offered
+  /// load (arrival rate x measured per-tuple cost), so an overloaded node
+  /// that sheds hard no longer looks idle to the placer. Every node then
+  /// tracks its arrivals at ingress. Otherwise the signal is the SIC mass a
+  /// node admitted over the trailing STW, and nothing tracks arrivals.
   bool elastic = false;
   /// Recovery observability (metrics/recovery_tracker.h). When
   /// `recovery.enabled`, RunFor splits its run at the sampling cadence and
@@ -254,7 +254,7 @@ class Fsps : public BatchRouter {
   void SetLinkLatencyNow(NodeId a, NodeId b, SimDuration latency);
   NodeId AddNodeNow(NodeOptions node_options, int shard);
   /// Elastic shard re-balance (TopologyPlan::Rebalance). Computes group
-  /// loads from the configured load signal, packs groups onto shards with
+  /// loads from the node load signal, packs groups onto shards with
   /// an LPT greedy (heaviest group first onto the least-loaded shard; ties
   /// break by ascending id, so the map is a pure function of the loads),
   /// checks the new map still admits a conservative schedule, then migrates
@@ -266,9 +266,9 @@ class Fsps : public BatchRouter {
   /// when sharded), or force-undeploys `q` when none exist.
   void ReplaceOrphans(QueryId q, NodeId crashed);
   /// Overload signal of node `id` for the kSicAware re-placement chooser
-  /// and the re-balancer's group loads, per options_.load_signal: admitted
-  /// SIC mass over the trailing STW (kAcceptedSic) or offered load in
-  /// busy-us (kArrivalCost). 0 for an idle or freshly restored node.
+  /// and the re-balancer's group loads: offered load in busy-us on an
+  /// elastic federation, else admitted SIC mass over the trailing STW. 0 for
+  /// an idle or freshly restored node.
   double NodeLoadSignal(NodeId id, SimTime now);
   /// Feeds the current per-query SICs into the recovery tracker (no-op at a
   /// repeated instant; only called when options_.recovery.enabled).

@@ -98,26 +98,6 @@ std::string ReplacementPolicyName(ReplacementPolicy policy) {
   return "?";
 }
 
-std::string LoadSignalName(LoadSignalKind kind) {
-  switch (kind) {
-    case LoadSignalKind::kAcceptedSic:
-      return "accepted-sic";
-    case LoadSignalKind::kArrivalCost:
-      return "arrival-cost";
-  }
-  return "?";
-}
-
-std::string CrashStateModeName(CrashStateMode mode) {
-  switch (mode) {
-    case CrashStateMode::kReset:
-      return "reset";
-    case CrashStateMode::kCheckpoint:
-      return "checkpoint";
-  }
-  return "?";
-}
-
 NodeId ChooseLeastLoaded(const std::vector<ReplacementCandidate>& candidates,
                          const std::set<NodeId>& occupied) {
   NodeId best = kInvalidId, best_any = kInvalidId;

@@ -47,34 +47,15 @@ enum class ReplacementPolicy {
   kRoundRobin,
   /// Move each orphan to the least-overloaded live candidate, judged by the
   /// node's live SIC readings (the SIC mass it currently admits over the
-  /// trailing STW); deterministic tie-break by ascending node id. Recovers
-  /// post-crash fairness faster than the blind cursor because orphans land
-  /// where spare capacity actually is.
+  /// trailing STW; its offered load on an elastic federation, see
+  /// FspsOptions::elastic); deterministic tie-break by ascending node id.
+  /// Recovers post-crash fairness faster than the blind cursor because
+  /// orphans land where spare capacity actually is.
   kSicAware,
 };
 
 /// Policy name as printed in reports ("round-robin", "sic-aware").
 std::string ReplacementPolicyName(ReplacementPolicy policy);
-
-/// What per-node quantity feeds the kSicAware chooser (and the elastic
-/// re-balancer's group loads).
-enum class LoadSignalKind {
-  /// PR 5 behaviour, byte-for-byte: the SIC mass the node *admitted* over
-  /// the trailing STW. Backward-looking — a node that sheds hard reports a
-  /// low signal exactly because it is overloaded, so a crash wave can herd
-  /// orphans onto the most saturated host.
-  kAcceptedSic,
-  /// Forward-looking offered load: tuple arrival rate over the trailing STW
-  /// times the measured per-tuple cost, which already folds in the node's
-  /// cpu_speed (an estimate of the busy-microseconds the node's current
-  /// intake demands).
-  /// Measured at ingress, before admission control, so shedding cannot mask
-  /// overload. The elastic federation defaults to this.
-  kArrivalCost,
-};
-
-/// Signal name as printed in reports ("accepted-sic", "arrival-cost").
-std::string LoadSignalName(LoadSignalKind kind);
 
 /// What happens to a re-placed fragment's operator state at crash time.
 ///
@@ -93,11 +74,9 @@ enum class CrashStateMode {
   kCheckpoint,
 };
 
-/// Mode name as printed in reports ("reset", "checkpoint").
-std::string CrashStateModeName(CrashStateMode mode);
-
 /// One re-placement candidate: a live node and its overload signal
-/// (smaller = less loaded; the federation layer feeds accepted-SIC mass).
+/// (smaller = less loaded; the federation layer feeds accepted-SIC mass, or
+/// offered load on an elastic federation).
 struct ReplacementCandidate {
   NodeId id = kInvalidId;
   double load = 0.0;

@@ -9,6 +9,14 @@
 
 namespace themis {
 
+namespace {
+
+// The federation counts as fairness-recovered from a disturbance once the
+// Jain index regains this fraction of its pre-fault value.
+constexpr double kJainRecoverFraction = 0.95;
+
+}  // namespace
+
 std::string DisturbanceKindName(DisturbanceKind kind) {
   switch (kind) {
     case DisturbanceKind::kCrashWave:
@@ -99,7 +107,7 @@ void RecoveryTracker::UpdateDisturbance(
   }
   // The Jain fairness dip follows the same lifecycle at the federation
   // level: armed until it dents within the onset window, then open until
-  // the index regains jain_recover_fraction of its pre-fault value.
+  // the index regains kJainRecoverFraction of its pre-fault value.
   if (!d->jain_settled) {
     if (!d->jain_dipped) {
       if (jain < d->jain_threshold) {
@@ -131,7 +139,7 @@ void RecoveryTracker::MarkDisturbance(SimTime now, DisturbanceKind kind) {
   d.kind = kind;
   if (samples_ > 0) {
     d.jain_baseline = latest_jain_;
-    d.jain_threshold = options_.jain_recover_fraction * d.jain_baseline;
+    d.jain_threshold = kJainRecoverFraction * d.jain_baseline;
   } else {
     // A mark before the first sample has no pre-fault fairness level.
     d.jain_settled = true;

@@ -40,9 +40,6 @@ struct RecoveryTrackerOptions {
   /// A query counts as recovered from a disturbance once its SIC climbs
   /// back to this fraction of its pre-fault baseline.
   double recover_fraction = 0.9;
-  /// Fairness recovery: the federation counts as fairness-recovered once
-  /// the Jain index regains this fraction of its pre-fault value.
-  double jain_recover_fraction = 0.95;
   /// How long after a disturbance a query's SIC may take to fall below the
   /// recovery threshold before the query is settled as unaffected. SIC is
   /// an STW-smoothed signal: a crash at t dents it over the following
@@ -90,7 +87,7 @@ struct Disturbance {
   bool open = true;  ///< at least one dip (or the Jain dip) not settled
   /// Fairness dip: the federation-wide Jain index tracked through the
   /// same armed -> dipped -> recovered lifecycle as a QueryDip, against
-  /// jain_recover_fraction * the pre-fault Jain value.
+  /// 95% of the pre-fault Jain value.
   double jain_baseline = 0.0;
   double jain_threshold = 0.0;
   bool jain_dipped = false;
@@ -118,8 +115,8 @@ struct RecoverySummary {
   /// Federation-wide Jain-over-time extremes (whole run, all samples).
   double min_jain = 1.0;
   double final_jain = 1.0;
-  /// Fairness recovery: disturbances whose Jain index dipped below
-  /// jain_recover_fraction * pre-fault Jain, how many never regained it,
+  /// Fairness recovery: disturbances whose Jain index dipped below 95% of
+  /// its pre-fault value, how many never regained it,
   /// and the censored mean time for Jain to regain it (unrecovered
   /// disturbances count their elapsed open time, as mean_censored_ttr_ms
   /// does for queries).

@@ -13,8 +13,7 @@ Node::Node(NodeId id, NodeOptions options, EventQueue* queue,
       options_(options),
       queue_(queue),
       router_(router),
-      ctl_(options.shed_interval, options.stw, options.headroom,
-           std::move(shedder), &stats_),
+      ctl_(options.shed_interval, options.stw, std::move(shedder), &stats_),
       stamper_(options.stw) {
   ib_.set_pool(&pool_);
 }

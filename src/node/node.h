@@ -46,13 +46,10 @@ struct NodeOptions {
   double cpu_speed = 1.0;
   /// Watermark lag for window closing (late-data tolerance).
   SimDuration window_grace = Millis(200);
-  /// Overload detector headroom multiplier (1.0 = paper behaviour).
-  double headroom = 1.0;
   /// Track per-query tuple arrival rates at ingress (feeds OfferedLoadUs —
   /// the forward-looking placement/autoscaler signal). Off by default: the
   /// tracker allocates on the data-plane hot path, and the historical
-  /// benches pin allocs/tuple. Fsps enables it when the configured load
-  /// signal (or elastic mode) needs it.
+  /// benches pin allocs/tuple. Fsps enables it on elastic federations.
   bool track_arrivals = false;
 };
 
@@ -146,14 +143,10 @@ class Node {
   double AcceptedSic(QueryId q, SimTime now) {
     return ctl_.AcceptedSic(q, now);
   }
-  /// Tuples that arrived for query `q` over the trailing STW — the *offered*
-  /// load, counted at ingress before admission or shedding (so an overloaded
-  /// node's signal reflects demand, not what survived the shedder). 0 for
-  /// unknown queries and while crashed (a dead node observes nothing).
-  double ArrivalTuplesStw(QueryId q, SimTime now);
-  /// Forward-looking load signal (LoadSignalKind::kArrivalCost): the work in
+  /// Forward-looking load signal (an elastic federation's): the work in
   /// simulated µs the trailing-STW arrival mass of query `q` implies at the
   /// measured per-tuple cost (which already reflects this node's CPU speed).
+  /// 0 unless NodeOptions::track_arrivals is set.
   double OfferedLoadUs(QueryId q, SimTime now);
   /// OfferedLoadUs summed over every query with recent arrivals.
   double OfferedLoadUs(SimTime now);
@@ -169,6 +162,11 @@ class Node {
   }
 
  private:
+  /// Tuples that arrived for query `q` over the trailing STW — the *offered*
+  /// load, counted at ingress before admission or shedding (so an overloaded
+  /// node's signal reflects demand, not what survived the shedder). 0 for
+  /// unknown queries and while crashed (a dead node observes nothing).
+  double ArrivalTuplesStw(QueryId q, SimTime now);
   void ScheduleProcessing();
   /// `gen` guards against stale events after MigrateQueue: an event armed
   /// before a migration carries the old generation and must no-op — it may

@@ -3,17 +3,17 @@
 #include <algorithm>
 #include <utility>
 
+#include "shedding/overload_detector.h"
+
 namespace themis {
 
 ShedController::ShedController(SimDuration shed_interval, SimDuration stw,
-                               double headroom,
                                std::unique_ptr<Shedder> shedder,
                                ShedStats* stats)
     : shed_interval_(shed_interval),
       stw_(stw),
       shedder_(std::move(shedder)),
-      stats_(stats),
-      detector_(headroom) {}
+      stats_(stats) {}
 
 void ShedController::Admit(QueryId q, double sic, size_t tuples,
                            SimTime now) {
@@ -84,7 +84,7 @@ bool ShedController::Decide(SimTime now, InputBuffer* ib,
     }
   }
 
-  bool overloaded = detector_.IsOverloaded(ib->num_tuples(), capacity);
+  bool overloaded = IsOverloaded(ib->num_tuples(), capacity);
   telemetry::Telemetry* tel = telemetry::Get();
   if (tel != nullptr) {
     RecordShedTick(tel, ib->num_tuples(), capacity, overloaded);

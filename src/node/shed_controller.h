@@ -23,7 +23,6 @@
 #include "runtime/batch_pool.h"
 #include "runtime/checkpoint.h"
 #include "shedding/cost_model.h"
-#include "shedding/overload_detector.h"
 #include "shedding/shedder.h"
 #include "sic/stw_tracker.h"
 
@@ -62,7 +61,7 @@ class ShedController {
  public:
   /// \param shedder shedding policy (BALANCE-SIC or random); owned
   /// \param stats counters to write; not owned, must outlive the controller
-  ShedController(SimDuration shed_interval, SimDuration stw, double headroom,
+  ShedController(SimDuration shed_interval, SimDuration stw,
                  std::unique_ptr<Shedder> shedder, ShedStats* stats);
 
   /// Admission step: a batch of `tuples` tuples carrying `sic` mass for
@@ -151,7 +150,6 @@ class ShedController {
   std::unique_ptr<Shedder> shedder_;
   ShedStats* stats_;
   CostModel cost_model_;
-  OverloadDetector detector_;
   uint64_t interval_tuples_ = 0;
   SimDuration interval_busy_ = 0;
 

@@ -99,7 +99,8 @@ class CheckpointTelemetry {
 
 /// Records one overload-detector verdict: counters `shed.ticks` /
 /// `shed.overloaded_ticks`, histograms `shed.ib_tuples` / `shed.capacity`.
-/// Call right after OverloadDetector::IsOverloaded with the same inputs.
+/// Call right after IsOverloaded (shedding/overload_detector.h) with the
+/// same inputs.
 void RecordShedTick(telemetry::Telemetry* t, uint64_t ib_tuples,
                     uint64_t capacity, bool overloaded);
 

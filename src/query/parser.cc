@@ -1,6 +1,8 @@
 #include "query/parser.h"
 
 #include <cctype>
+#include <charconv>
+#include <limits>
 
 #include "query/lexer.h"
 
@@ -121,6 +123,7 @@ Result<SimDuration> ParseWindow(Cursor* c) {
   if (!c->Peek().Is(TokenKind::kNumber)) {
     return c->Error("expected window size");
   }
+  const size_t size_pos = c->Peek().position;
   double amount = c->Next().number;
   SimDuration unit;
   if (c->Peek().IsWord("sec") || c->Peek().IsWord("s")) {
@@ -134,7 +137,19 @@ Result<SimDuration> ParseWindow(Cursor* c) {
   }
   c->Next();
   THEMIS_RETURN_NOT_OK(c->Expect(TokenKind::kRBracket, "']'"));
-  return static_cast<SimDuration>(amount * static_cast<double>(unit));
+  // Checked in double before the cast: a window under 1 µs would divide by
+  // zero in the operators, and one past INT64_MAX µs does not fit.
+  // INT64_MAX rounds up to 2^63 in double, so `<` admits exactly the
+  // values that cast safely.
+  constexpr double kMaxUs =
+      static_cast<double>(std::numeric_limits<SimDuration>::max());
+  double us = amount * static_cast<double>(unit);
+  if (!(us >= 1.0 && us < kMaxUs)) {
+    return Status::InvalidArgument(
+        "window range must be between 1 us and INT64_MAX us at position " +
+        std::to_string(size_pos));
+  }
+  return static_cast<SimDuration>(us);
 }
 
 // func := ident '(' field_ref (',' field_ref)* ')'
@@ -143,12 +158,19 @@ Result<SelectFunc> ParseFunc(Cursor* c) {
     return c->Error("expected select function");
   }
   SelectFunc func;
+  const size_t func_pos = c->Peek().position;
   std::string raw = Lower(c->Next().text);
   // TopN: "top" followed by digits.
   if (raw.rfind("top", 0) == 0 && raw.size() > 3 &&
       std::isdigit(static_cast<unsigned char>(raw[3]))) {
     func.name = "top";
-    func.top_k = std::stoi(raw.substr(3));
+    std::from_chars_result n =
+        std::from_chars(raw.data() + 3, raw.data() + raw.size(), func.top_k);
+    if (n.ec != std::errc()) {
+      return Status::InvalidArgument(
+          "TopN count out of range at position " + std::to_string(func_pos) +
+          " (near '" + raw + "')");
+    }
   } else {
     func.name = raw;
   }

@@ -19,11 +19,11 @@ struct TimedBatch {
   Batch batch;
 };
 
-/// Drives `pipeline` (started, pace_admission + kModeled accounting, on
-/// `clock`) through `arrivals` (sorted ascending by `at`; same-time order
-/// is the injection order) until simulated time `until` inclusive. Ticks
-/// win ties against arrivals and admissions, like the event queue schedules
-/// them. Consumes the arrival batches.
+/// Drives `pipeline` (started, kModeled accounting, on `clock`) through
+/// `arrivals` (sorted ascending by `at`; same-time order is the injection
+/// order) until simulated time `until` inclusive. Ticks win ties against
+/// arrivals and admissions, like the event queue schedules them. Consumes
+/// the arrival batches.
 void DriveDeterministic(ServerPipeline* pipeline, ManualClock* clock,
                         std::vector<TimedBatch>* arrivals, SimTime until);
 

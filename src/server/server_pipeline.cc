@@ -7,6 +7,15 @@
 
 namespace themis {
 
+namespace {
+
+// Credits per execution-node input channel. Modeled (oracle) runs never
+// block on a channel: the DES twin has no backpressure.
+constexpr size_t kMeasuredChannelCredits = 64;
+constexpr size_t kModeledChannelCredits = size_t{1} << 20;
+
+}  // namespace
+
 class ServerPipeline::IngressTask : public Task {
  public:
   explicit IngressTask(ServerPipeline* owner) : owner_(owner) {}
@@ -22,8 +31,7 @@ ServerPipeline::ServerPipeline(ServerOptions options, Clock* clock,
       clock_(clock),
       sched_(options.workers),
       stamper_(options.stw),
-      ctl_(options.shed_interval, options.stw, options.headroom,
-           std::move(shedder), &stats_),
+      ctl_(options.shed_interval, options.stw, std::move(shedder), &stats_),
       ingress_(std::make_unique<IngressTask>(this)) {
   ib_.set_pool(&pool_);
 }
@@ -36,14 +44,15 @@ void ServerPipeline::AddQuery(const QueryGraph* graph) {
   hq.graph = graph;
   hq.by_op.resize(graph->num_operators());
   hq.pump.clear();
+  const size_t credits =
+      measured_accounting() ? kMeasuredChannelCredits : kModeledChannelCredits;
   // Pump order: fragments ascending, topological order within a fragment —
   // the order window pumps visit operators.
   for (size_t frag = 0; frag < graph->num_fragments(); ++frag) {
     for (OperatorId op :
          graph->fragment_ops(static_cast<FragmentId>(frag))) {
-      hq.by_op[op] = std::make_unique<ExecNode>(static_cast<ServerSite*>(this),
-                                                &sched_, graph, op,
-                                                options_.channel_capacity);
+      hq.by_op[op] = std::make_unique<ExecNode>(
+          static_cast<ServerSite*>(this), &sched_, graph, op, credits);
       hq.pump.push_back(hq.by_op[op].get());
     }
   }
@@ -64,9 +73,9 @@ void ServerPipeline::Start() {
   }
   if (options_.workers > 0) {
     sched_.Start();
-    // Paced (oracle) runs are tick-driven by the caller via DriveTick; a
+    // Modeled (oracle) runs are tick-driven by the caller via DriveTick; a
     // free-running ticker would race the deterministic schedule.
-    if (!options_.pace_admission) {
+    if (measured_accounting()) {
       ticker_ = std::thread([this] { TickerLoop(); });
     }
   }
@@ -149,7 +158,7 @@ RunStatus ServerPipeline::IngressSlice() {
         SimTime now = clock_->NowMicros();
         // Oracle pacing: one batch per modeled busy period, exactly like
         // ProcessNext scheduled at max(now, busy_until).
-        if (options_.pace_admission && now < busy_until_) {
+        if (!measured_accounting() && now < busy_until_) {
           return RunStatus::kIdle;
         }
         std::optional<Batch> b = ib_.Pop();
@@ -280,8 +289,9 @@ void ServerPipeline::DecideTick(bool capture) {
       });
     }
     // Local stand-in for coordinator dissemination (§5.2): feed the result
-    // sinks' trailing-STW SIC back into the shedder's query_sic view.
-    if (options_.disseminate_sic) {
+    // sinks' trailing-STW SIC back into the shedder's query_sic view. Not
+    // under kModeled: the DES twin has no coordinator either.
+    if (measured_accounting()) {
       for (auto& [q, acc] : results_) {
         ctl_.UpdateQuerySic(q, acc.tracker.QuerySic(now));
       }
@@ -358,7 +368,7 @@ SimTime ServerPipeline::NextAdmissionTime() const {
   SimTime now = clock_->NowMicros();
   if (staged_.has_value()) return now;
   if (ib_.empty()) return kNever;
-  if (!options_.pace_admission) return now;
+  if (measured_accounting()) return now;
   return std::max(busy_until_, now);
 }
 
@@ -410,12 +420,6 @@ double ServerPipeline::AcceptedSicTotal(QueryId q) const {
 uint64_t ServerPipeline::AcceptedTuplesTotal(QueryId q) const {
   std::lock_guard<std::mutex> lock(mu_);
   return ctl_.AcceptedTuplesTotal(q);
-}
-
-double ServerPipeline::ResultSicTotal(QueryId q) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = results_.find(q);
-  return it == results_.end() ? 0.0 : it->second.total_sic;
 }
 
 uint64_t ServerPipeline::ResultTuplesTotal(QueryId q) const {

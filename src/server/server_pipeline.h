@@ -10,12 +10,18 @@
 // Two accounting modes:
 //  - kMeasured (real runs): busy time is measured per task slice on the
 //    wall clock, capacity scales with the worker count, and admission is
-//    unpaced (the CPU itself is the pacer).
+//    unpaced (the CPU itself is the pacer). A ticker thread runs the shed
+//    tick, result SIC is fed back to the shedder at every tick (a local
+//    stand-in for coordinator dissemination, §5.2), and each execution
+//    node's input channel grants 64 credits.
 //  - kModeled (oracle runs): busy time is computed from operator costs
 //    exactly as the DES does, and admission is paced on the modeled
 //    busy-until — with a ManualClock and 0 workers the pipeline reproduces
 //    the DES schedule, which tests exploit to compare accepted-SIC totals
-//    bit for bit.
+//    bit for bit. So it keeps nothing the DES twin lacks: the caller
+//    drives every tick (DriveTick; no ticker thread), nothing disseminates
+//    result SIC (the twin has no coordinator), and channels never apply
+//    backpressure (2^20 credits).
 #ifndef THEMIS_SERVER_SERVER_PIPELINE_H_
 #define THEMIS_SERVER_SERVER_PIPELINE_H_
 
@@ -54,18 +60,11 @@ struct ServerOptions {
   SimDuration stw = Seconds(10);
   double cpu_speed = 1.0;
   SimDuration window_grace = Millis(200);
-  double headroom = 1.0;
   /// Worker threads; 0 = caller-driven deterministic mode (RunUntilIdle).
   size_t workers = 4;
-  /// Credits per execution-node input channel.
-  size_t channel_capacity = 64;
+  /// Also selects paced admission, the ticker thread, result-SIC feedback
+  /// and channel credits (see the file comment).
   CostAccounting accounting = CostAccounting::kMeasured;
-  /// Gate admission on the modeled busy-until (oracle mode only).
-  bool pace_admission = false;
-  /// Feed result SIC back into the shedder at ticks (local stand-in for
-  /// coordinator dissemination, §5.2). Off in oracle mode: the DES twin has
-  /// no coordinator either.
-  bool disseminate_sic = true;
   /// Source backpressure: Push() blocks while the input buffer holds >=
   /// `ib_high_watermark` tuples until it drains to <= `ib_low_watermark`.
   /// 0 disables blocking (overload lands in the IB and the shedder).
@@ -107,10 +106,10 @@ class ServerPipeline : private ServerSite {
   void NotifyIngress();
   /// Drains the runnable queue on the calling thread.
   void RunUntilIdle();
-  /// Blocks until workers drained the runnable queue (workers > 0). With
-  /// pace_admission the ticker is not spawned, so a driver can alternate
-  /// Push/NotifyIngress/WaitIdle with ManualClock advances and DriveTick
-  /// for a deterministic run on real worker threads.
+  /// Blocks until workers drained the runnable queue (workers > 0). Under
+  /// kModeled accounting the ticker is not spawned, so a driver can
+  /// alternate Push/NotifyIngress/WaitIdle with ManualClock advances and
+  /// DriveTick for a deterministic run on real worker threads.
   void WaitIdle();
   /// RunUntilIdle with 0 workers, WaitIdle otherwise.
   void Quiesce();
@@ -154,8 +153,7 @@ class ServerPipeline : private ServerSite {
   /// Cumulative admitted SIC/tuples since Start (oracle comparisons).
   double AcceptedSicTotal(QueryId q) const;
   uint64_t AcceptedTuplesTotal(QueryId q) const;
-  /// Cumulative result SIC/tuples delivered by the root operator.
-  double ResultSicTotal(QueryId q) const;
+  /// Cumulative result tuples delivered by the root operator.
   uint64_t ResultTuplesTotal(QueryId q) const;
 
  private:

@@ -8,21 +8,11 @@
 
 namespace themis {
 
-/// \brief Compares input-buffer occupancy against the capacity threshold.
-class OverloadDetector {
- public:
-  /// \param headroom multiplier applied to c before the comparison; 1.0
-  ///        reproduces the paper, >1 tolerates short bursts without shedding.
-  explicit OverloadDetector(double headroom = 1.0) : headroom_(headroom) {}
-
-  /// True when `ib_tuples` exceeds `capacity * headroom`.
-  bool IsOverloaded(size_t ib_tuples, size_t capacity) const;
-
-  double headroom() const { return headroom_; }
-
- private:
-  double headroom_;
-};
+/// True when `ib_tuples` exceeds the capacity `capacity` (tuples per
+/// shedding interval).
+inline bool IsOverloaded(size_t ib_tuples, size_t capacity) {
+  return ib_tuples > capacity;
+}
 
 }  // namespace themis
 

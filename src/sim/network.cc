@@ -40,32 +40,14 @@ Status Network::SetLatency(NodeId a, NodeId b, SimDuration latency) {
   return Status::OK();
 }
 
-Status Network::SetDefaultLatency(SimDuration latency) {
-  if (sharded_) {
-    return Status::FailedPrecondition(
-        "topology frozen under a shard plan; queue the edit "
-        "(QueueSetDefaultLatency) for the next epoch boundary instead");
-  }
-  default_latency_ = latency;
-  return Status::OK();
-}
-
 void Network::QueueSetLatency(NodeId a, NodeId b, SimDuration latency) {
   pending_.push_back({a, b, latency});
-}
-
-void Network::QueueSetDefaultLatency(SimDuration latency) {
-  pending_.push_back({kInvalidId, kInvalidId, latency});
 }
 
 size_t Network::ApplyQueuedMutations() {
   size_t applied = pending_.size();
   for (const PendingMutation& m : pending_) {
-    if (m.a == kInvalidId && m.b == kInvalidId) {
-      default_latency_ = m.latency;
-    } else {
-      ApplyLatency(m.a, m.b, m.latency);
-    }
+    ApplyLatency(m.a, m.b, m.latency);
   }
   pending_.clear();
   return applied;

@@ -14,14 +14,14 @@
 // locks; without a plan there is exactly one lane and behaviour is
 // byte-identical to the historical single-queue path.
 //
-// Dynamic topology: once a shard plan is installed the immediate setters
-// reject edits (the parallel engine's lookahead is derived from the
+// Dynamic topology: once a shard plan is installed the immediate setter
+// rejects edits (the parallel engine's lookahead is derived from the
 // topology; mutating it under a running epoch would let messages undercut
 // the epoch width). Instead, edits go through the mutation queue
-// (QueueSetLatency / QueueSetDefaultLatency) and are applied in FIFO order
-// by ApplyQueuedMutations(), which the federation layer calls at an epoch
-// boundary — between engine runs, with every shard clock synchronized —
-// before re-deriving the conservative lookahead. Each queued edit updates
+// (QueueSetLatency) and are applied in FIFO order by ApplyQueuedMutations(),
+// which the federation layer calls at an epoch boundary — between engine
+// runs, with every shard clock synchronized — before re-deriving the
+// conservative lookahead. Each queued edit updates
 // the dense matrix incrementally (two cells, plus growth when a new node id
 // appears); the matrix is never rebuilt from scratch.
 #ifndef THEMIS_SIM_NETWORK_H_
@@ -51,13 +51,10 @@ class Network {
   /// FailedPrecondition instead of applying; queue them (QueueSetLatency)
   /// to defer them to the next epoch boundary.
   Status SetLatency(NodeId a, NodeId b, SimDuration latency);
-  Status SetDefaultLatency(SimDuration latency);
 
   /// Defers a link-latency edit to the next ApplyQueuedMutations() call.
   /// Legal at any time, sharded or not; edits apply in FIFO order.
   void QueueSetLatency(NodeId a, NodeId b, SimDuration latency);
-  /// Deferred counterpart of SetDefaultLatency.
-  void QueueSetDefaultLatency(SimDuration latency);
   /// Applies every queued edit and returns how many were applied. With a
   /// shard plan installed this must only run at an epoch boundary (between
   /// engine runs), and the caller must re-derive the engine lookahead from
@@ -121,8 +118,7 @@ class Network {
   static size_t Index(NodeId id) { return static_cast<size_t>(id + 1); }
   static constexpr SimDuration kNoOverride = INT64_MIN;
 
-  /// One deferred topology edit; a == b == kInvalidId encodes a default-
-  /// latency change (self-links are never stored, so the encoding is free).
+  /// One deferred link-latency edit.
   struct PendingMutation {
     NodeId a;
     NodeId b;

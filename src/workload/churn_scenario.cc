@@ -11,6 +11,25 @@ namespace themis {
 
 namespace {
 
+// Crash waves start this far apart.
+constexpr SimDuration kCrashInterval = Seconds(5);
+// Every cluster keeps at least this fraction of its nodes alive at all
+// times (rounded up, minimum 1): re-placement always has a same-shard
+// candidate.
+constexpr double kMinClusterAliveFraction = 0.5;
+// Flapping links: WAN links that bounce between their base latency and
+// kFlapMultiplier times it, every kFlapPeriod.
+constexpr int kFlappingLinks = 3;
+constexpr SimDuration kFlapPeriod = Seconds(3);
+constexpr double kFlapMultiplier = 4.0;
+// Diurnal-style drift: WAN links whose latency follows a triangle wave of
+// relative amplitude kDriftAmplitude (< 1, so latencies stay positive) and
+// period kDriftPeriod, re-sampled every kDriftStep.
+constexpr int kDriftingLinks = 6;
+constexpr SimDuration kDriftStep = Seconds(2);
+constexpr SimDuration kDriftPeriod = Seconds(16);
+constexpr double kDriftAmplitude = 0.5;
+
 // Triangle wave in [-1, 1] with period `period`, evaluated at `t + phase`.
 // Pure integer/rational arithmetic — bit-identical on every platform,
 // unlike libm sin.
@@ -53,11 +72,7 @@ std::pair<NodeId, NodeId> DrawWanPair(
 }  // namespace
 
 ChurnScenario MakeChurnScenario(const ChurnScenarioOptions& options) {
-  THEMIS_CHECK(options.downtime > 0 && options.crash_interval > 0);
-  THEMIS_CHECK(options.flap_period > 0 && options.drift_step > 0);
-  THEMIS_CHECK(options.drift_period > 0);
-  THEMIS_CHECK(options.drift_amplitude >= 0.0 &&
-               options.drift_amplitude < 1.0);
+  THEMIS_CHECK(options.downtime > 0);
 
   ChurnScenario scenario;
   scenario.options = options;
@@ -76,7 +91,7 @@ ChurnScenario MakeChurnScenario(const ChurnScenarioOptions& options) {
   std::vector<int> min_alive(clusters);
   for (int c = 0; c < clusters; ++c) {
     int floor_alive = static_cast<int>(
-        cluster_size[c] * options.min_cluster_alive_fraction + 0.999999);
+        cluster_size[c] * kMinClusterAliveFraction + 0.999999);
     min_alive[c] = std::max(floor_alive, 1);
   }
   // Liveness at generation time: node n is down at time t iff
@@ -84,7 +99,7 @@ ChurnScenario MakeChurnScenario(const ChurnScenarioOptions& options) {
   std::vector<SimTime> dead_until(nodes, -1);
 
   for (int wave = 0; wave < options.crash_waves; ++wave) {
-    SimTime t = options.churn_start + wave * options.crash_interval;
+    SimTime t = options.churn_start + wave * kCrashInterval;
     if (t > options.churn_horizon) break;
     std::vector<int> cluster_alive(clusters, 0);
     for (int n = 0; n < nodes; ++n) {
@@ -109,8 +124,8 @@ ChurnScenario MakeChurnScenario(const ChurnScenarioOptions& options) {
   // Drifting latencies stay strictly positive: amplitude < 1 bounds the
   // triangle wave above zero, and the floor below adds a hard clamp. A
   // single-cluster federation has no WAN links to perturb.
-  const int flapping = clusters < 2 ? 0 : options.flapping_links;
-  const int drifting = clusters < 2 ? 0 : options.drifting_links;
+  const int flapping = clusters < 2 ? 0 : kFlappingLinks;
+  const int drifting = clusters < 2 ? 0 : kDriftingLinks;
   const SimDuration wan = options.scale.wan_latency;
   const SimDuration lat_floor = std::max<SimDuration>(wan / 4, kMillisecond);
   std::set<std::pair<NodeId, NodeId>> used_links;
@@ -118,10 +133,10 @@ ChurnScenario MakeChurnScenario(const ChurnScenarioOptions& options) {
   for (int l = 0; l < flapping; ++l) {
     auto [a, b] = DrawWanPair(base, &rng, &used_links);
     SimDuration high = static_cast<SimDuration>(
-        static_cast<double>(wan) * options.flap_multiplier);
+        static_cast<double>(wan) * kFlapMultiplier);
     int toggle = 0;
-    for (SimTime t = options.churn_start + options.flap_period;
-         t <= options.churn_horizon; t += options.flap_period) {
+    for (SimTime t = options.churn_start + kFlapPeriod;
+         t <= options.churn_horizon; t += kFlapPeriod) {
       SimDuration lat = (toggle % 2 == 0) ? high : wan;
       scenario.events.push_back(
           {t, ChurnEventKind::kSetLinkLatency, a, b, lat});
@@ -132,11 +147,11 @@ ChurnScenario MakeChurnScenario(const ChurnScenarioOptions& options) {
   for (int l = 0; l < drifting; ++l) {
     auto [a, b] = DrawWanPair(base, &rng, &used_links);
     SimDuration phase = static_cast<SimDuration>(
-        rng.UniformInt(0, options.drift_period - 1));
+        rng.UniformInt(0, kDriftPeriod - 1));
     for (SimTime t = options.churn_start; t <= options.churn_horizon;
-         t += options.drift_step) {
-      double wave = TriangleWave(t, options.drift_period, phase);
-      double factor = 1.0 + options.drift_amplitude * wave;
+         t += kDriftStep) {
+      double wave = TriangleWave(t, kDriftPeriod, phase);
+      double factor = 1.0 + kDriftAmplitude * wave;
       SimDuration lat =
           static_cast<SimDuration>(static_cast<double>(wan) * factor);
       scenario.events.push_back({t, ChurnEventKind::kSetLinkLatency, a, b,

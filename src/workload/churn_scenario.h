@@ -26,7 +26,12 @@
 namespace themis {
 
 /// Knobs of the churn overlay; defaults give the mix used by
-/// bench_churn_federation. `scale.seed` also seeds the churn schedule.
+/// bench_churn_federation. `scale.seed` also seeds the churn schedule. The
+/// rest of the overlay is fixed (churn_scenario.cc): waves start 5 s apart,
+/// every cluster keeps at least half its nodes alive, 3 WAN links flap
+/// between their base latency and 4x it every 3 s, and 6 WAN links drift
+/// along a 16 s triangle wave of relative amplitude 0.5, re-sampled every
+/// 2 s.
 struct ChurnScenarioOptions {
   ScaleScenarioOptions scale;  ///< base federation + query arrivals
 
@@ -36,30 +41,11 @@ struct ChurnScenarioOptions {
   /// Schedule horizon: no churn event is generated past this point.
   SimTime churn_horizon = Seconds(24);
 
-  // Crash waves: every `crash_interval`, `crashes_per_wave` live nodes
-  // fail together and rejoin `downtime` later.
+  // Crash waves: `crashes_per_wave` live nodes fail together and rejoin
+  // `downtime` later.
   int crash_waves = 3;
   int crashes_per_wave = 2;
-  SimDuration crash_interval = Seconds(5);
   SimDuration downtime = Seconds(3);
-  /// Every cluster keeps at least this fraction of its nodes alive at all
-  /// times (rounded up, minimum 1): re-placement always has a same-shard
-  /// candidate.
-  double min_cluster_alive_fraction = 0.5;
-
-  // Flapping links: WAN links that bounce between their base latency and
-  // `flap_multiplier` times it, every `flap_period`.
-  int flapping_links = 3;
-  SimDuration flap_period = Seconds(3);
-  double flap_multiplier = 4.0;
-
-  // Diurnal-style drift: WAN links whose latency follows a triangle wave
-  // of relative amplitude `drift_amplitude` and period `drift_period`,
-  // re-sampled every `drift_step`.
-  int drifting_links = 6;
-  SimDuration drift_step = Seconds(2);
-  SimDuration drift_period = Seconds(16);
-  double drift_amplitude = 0.5;
 };
 
 enum class ChurnEventKind {

@@ -73,7 +73,6 @@ class SourceDriver {
   void Rehome(EventQueue* queue, BatchPool* pool);
   EventQueue* queue() const { return queue_; }
 
-  SourceId source_id() const { return source_; }
   QueryId query_id() const { return query_; }
   OperatorId target_op() const { return target_op_; }
   uint64_t tuples_generated() const { return tuples_generated_; }

@@ -85,7 +85,6 @@ TEST_F(CoordinatorTest, DisseminatesToHostsWithLatency) {
 TEST_F(CoordinatorTest, DisseminationCountsTraffic) {
   QueryCoordinator::Options opts;
   opts.update_interval = Millis(100);
-  opts.update_message_bytes = 30;
   QueryCoordinator coord(graph_.get(), opts, &queue_, &network_);
   coord.SetHome(0);
   coord.AddHost(1, MakeHost(1));

@@ -186,6 +186,28 @@ TEST_F(ElasticShardTest, RebalanceRequiresElasticOnShardedEngine) {
   EXPECT_TRUE(rigid.PlanTopology().Rebalance().Apply().IsFailedPrecondition());
 }
 
+// Elastic federations rank nodes by offered load, so their nodes track
+// arrivals at ingress; any other run pays nothing for the tracker.
+TEST(ElasticLoadSignalTest, ArrivalTrackingFollowsElastic) {
+  for (bool elastic : {false, true}) {
+    FspsOptions opts;
+    opts.elastic = elastic;
+    Fsps fsps(opts);
+    NodeId node = fsps.AddNode();
+    WorkloadFactory factory(9);
+    BuiltQuery built = factory.MakeAvg(1);
+    ASSERT_TRUE(fsps.Deploy(std::move(built.graph), {{0, node}}).ok());
+    ASSERT_TRUE(fsps.AttachSources(1, built.sources).ok());
+    fsps.RunFor(Seconds(2));
+    double offered = fsps.node(node)->OfferedLoadUs(fsps.now());
+    if (elastic) {
+      EXPECT_GT(offered, 0.0);
+    } else {
+      EXPECT_EQ(offered, 0.0);
+    }
+  }
+}
+
 // --- scenario-level determinism -----------------------------------------
 
 // A churn scenario with 10x bursts (burst_multiplier's default) and a

@@ -25,6 +25,19 @@ class ResultCounter : public BatchRouter {
   std::map<QueryId, double> sic;
 };
 
+// Keeps every buffered batch, so a node never sheds however overloaded it
+// looks.
+class KeepAllShedder : public Shedder {
+ public:
+  std::vector<size_t> SelectBatchesToKeep(const std::deque<Batch>& ib,
+                                          const ShedContext&) override {
+    std::vector<size_t> keep(ib.size());
+    for (size_t i = 0; i < keep.size(); ++i) keep[i] = i;
+    return keep;
+  }
+  const char* name() const override { return "keep-all"; }
+};
+
 // Two-source covariance query in one fragment.
 std::unique_ptr<QueryGraph> MakeCovGraph(QueryId q, SourceId s1, SourceId s2,
                                          double recv_cost_us) {
@@ -117,10 +130,8 @@ TEST(NodeWatermarkTest, WatermarkNeverPassesOldestQueuedBatch) {
   ResultCounter router;
   NodeOptions options;
   options.window_grace = Millis(100);
-  // Disable overload shedding: this test isolates lateness, not capacity.
-  options.headroom = 1000.0;
-  Node node(0, options, &queue, &router,
-            std::make_unique<BalanceSicShedder>(Rng(1)));
+  // No shedding: this test isolates lateness, not capacity.
+  Node node(0, options, &queue, &router, std::make_unique<KeepAllShedder>());
   // Expensive first batch keeps the node busy for 2 simulated seconds.
   auto graph = MakeCovGraph(1, 10, 11, /*recv_cost_us=*/100000.0);
   node.HostFragment(graph.get(), 0);

@@ -256,12 +256,11 @@ TEST(ParallelEngineTest, RunForZeroRunsEventsAtCurrentClock) {
 }
 
 TEST(ParallelEngineTest, TopologyFrozenUnderShardPlan) {
-  // Outcome 1 of a late topology edit: the immediate setters reject it
+  // Outcome 1 of a late topology edit: the immediate setter rejects it
   // with a Status error (no more process abort) and the matrix is
   // untouched.
   TwoShardNet f;
   EXPECT_TRUE(f.net.SetLatency(0, 1, Millis(1)).IsFailedPrecondition());
-  EXPECT_TRUE(f.net.SetDefaultLatency(Millis(1)).IsFailedPrecondition());
   EXPECT_EQ(f.net.Latency(0, 1), Millis(10));
 }
 

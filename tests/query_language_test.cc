@@ -2,6 +2,11 @@
 // end-to-end execution of the Table 1 statements through the FSPS.
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+#include <vector>
+
+#include "common/rng.h"
 #include "federation/fsps.h"
 #include "query/compiler.h"
 #include "query/lexer.h"
@@ -117,19 +122,22 @@ TEST(ParserTest, SyntaxErrorsArePositioned) {
 
 // ---- compiler ---------------------------------------------------------------
 
+// Registers the streams the Table 1 statements read.
+void RegisterTable1Streams(QueryCompiler* compiler) {
+  compiler->RegisterStream("Src", Schema::SingleValue());
+  compiler->RegisterStream("S1", Schema::SingleValue());
+  compiler->RegisterStream("S2", Schema::SingleValue());
+  compiler->RegisterStream("CPU", Schema::IdValue());
+  Schema mem({{"id", FieldType::kInt64}, {"free", FieldType::kDouble}});
+  compiler->RegisterStream("Mem", mem);
+  // The aggregate workload refers to tuples as `t`; alias it to Src's
+  // schema so Table 1 statements compile verbatim.
+  compiler->RegisterStream("t", Schema::SingleValue());
+}
+
 class CompilerTest : public ::testing::Test {
  protected:
-  CompilerTest() {
-    compiler_.RegisterStream("Src", Schema::SingleValue());
-    compiler_.RegisterStream("S1", Schema::SingleValue());
-    compiler_.RegisterStream("S2", Schema::SingleValue());
-    compiler_.RegisterStream("CPU", Schema::IdValue());
-    Schema mem({{"id", FieldType::kInt64}, {"free", FieldType::kDouble}});
-    compiler_.RegisterStream("Mem", mem);
-    // The aggregate workload refers to tuples as `t`; alias it to Src's
-    // schema so Table 1 statements compile verbatim.
-    compiler_.RegisterStream("t", Schema::SingleValue());
-  }
+  CompilerTest() { RegisterTable1Streams(&compiler_); }
 
   Result<CompiledQuery> Compile(const std::string& text) {
     return compiler_.CompileString(1, text, &next_source_);
@@ -272,6 +280,161 @@ TEST_F(CompilerTest, CompiledTop5RunsEndToEnd) {
 
   EXPECT_GT(fsps.QuerySic(1), 0.8);
   EXPECT_GT(fsps.coordinator(1)->result_tuples(), 20u);
+}
+
+// ---- untrusted text: every input yields a Status --------------------------
+
+TEST(QueryLanguageTest, TopNCountPastIntRangeIsInvalidArgument) {
+  auto stmt =
+      ParseQuery("Select Top99999999999(Src.id, Src.v) From Src[Range 1 sec]");
+  EXPECT_TRUE(stmt.status().IsInvalidArgument()) << stmt.status().ToString();
+}
+
+TEST(QueryLanguageTest, WindowUnderOneMicrosecondIsInvalidArgument) {
+  // Both would divide by a zero range at the first ingested tuple.
+  for (const char* text : {"Select Avg(Src.v) From Src[Range 0 sec]",
+                           "Select Avg(Src.v) From Src[Range 0.0000001 sec]"}) {
+    EXPECT_TRUE(ParseQuery(text).status().IsInvalidArgument()) << text;
+  }
+  auto smallest = ParseQuery("Select Avg(Src.v) From Src[Range 0.001 ms]");
+  ASSERT_TRUE(smallest.ok()) << smallest.status().ToString();
+  EXPECT_EQ(smallest->streams[0].range, 1);
+}
+
+TEST(QueryLanguageTest, WindowPastInt64IsInvalidArgument) {
+  auto huge = ParseQuery(
+      "Select Avg(Src.v) From Src[Range 99999999999999999999 sec]");
+  EXPECT_TRUE(huge.status().IsInvalidArgument()) << huge.status().ToString();
+  // INT64_MAX us is about 9223372036854.8 s.
+  EXPECT_TRUE(ParseQuery("Select Avg(Src.v) From Src[Range 9223372036855 sec]")
+                  .status()
+                  .IsInvalidArgument());
+  auto largest =
+      ParseQuery("Select Avg(Src.v) From Src[Range 9223372036854 sec]");
+  ASSERT_TRUE(largest.ok()) << largest.status().ToString();
+  // The product is rounded in double, so only its magnitude is exact.
+  EXPECT_GT(largest->streams[0].range, 9223372036853 * kSecond);
+}
+
+// Splits `text` at spaces and the punctuation the lexer knows, keeping the
+// punctuation as tokens of its own.
+std::vector<std::string> SplitTokens(const std::string& text) {
+  std::vector<std::string> tokens;
+  std::string cur;
+  for (char c : text) {
+    if (c == ' ' || std::string("()[],.").find(c) != std::string::npos) {
+      if (!cur.empty()) tokens.push_back(cur);
+      cur.clear();
+      if (c != ' ') tokens.push_back(std::string(1, c));
+    } else {
+      cur += c;
+    }
+  }
+  if (!cur.empty()) tokens.push_back(cur);
+  return tokens;
+}
+
+// Replacement tokens for the mutation run, by lexical class: numbers that
+// probe the window and TopN bounds, keywords, functions and names, marks.
+const std::vector<std::string> kNumbers = {
+    "0", "1", "0.0000001", "0.001", "1.5", "007", "250", "9223372036854",
+    "9223372036855", "99999999999999999999"};
+const std::vector<std::string> kWords = {
+    "Select", "From", "Where", "Having", "and", "Range", "sec", "ms", "min",
+    "Avg", "Max", "Sum", "Count", "Cov", "Top0", "Top1", "Top99999999999",
+    "Src", "S1", "S2", "CPU", "Mem", "t", "v", "id", "free"};
+const std::vector<std::string> kMarks = {"(", ")", "[", "]", ",", ".",
+                                         "=", "!=", "<", ">="};
+
+// One random edit: a byte replaced, inserted or deleted, or a token replaced
+// by one of its own lexical class or of any class, deleted, duplicated or
+// swapped with another.
+std::string Mutate(const std::string& text, Rng* rng) {
+  auto pick = [rng](size_t n) {
+    return static_cast<size_t>(rng->UniformInt(0, static_cast<int64_t>(n) - 1));
+  };
+  std::string out = text;
+  const int64_t kind = rng->UniformInt(0, 7);
+  if (kind <= 2) {
+    if (out.empty()) return out;
+    size_t at = pick(out.size());
+    char byte = static_cast<char>(rng->UniformInt(0, 255));
+    if (kind == 0) out[at] = byte;
+    if (kind == 1) out.insert(out.begin() + at, byte);
+    if (kind == 2) out.erase(at, 1);
+    return out;
+  }
+  std::vector<std::string> tokens = SplitTokens(out);
+  if (tokens.empty()) return out;
+  size_t at = pick(tokens.size());
+  const unsigned char first = static_cast<unsigned char>(tokens[at][0]);
+  const std::vector<std::string>& same_class =
+      std::isdigit(first) ? kNumbers : std::isalpha(first) ? kWords : kMarks;
+  const std::vector<std::string>* any_class[] = {&kNumbers, &kWords, &kMarks};
+  const std::vector<std::string>& other = *any_class[pick(3)];
+  if (kind == 3) tokens[at] = same_class[pick(same_class.size())];
+  if (kind == 4) tokens[at] = other[pick(other.size())];
+  if (kind == 5) tokens.erase(tokens.begin() + at);
+  if (kind == 6) tokens.insert(tokens.begin() + at, tokens[at]);
+  if (kind == 7) std::swap(tokens[at], tokens[pick(tokens.size())]);
+  out.clear();
+  for (const std::string& t : tokens) out += t + " ";
+  return out;
+}
+
+// Seeded mutation run over the Table 1 statements: parsing and compiling
+// must return a Status for every edit (never throw), and every statement
+// that compiles must survive one tuple ingested into each operator on each
+// port, followed by an Advance that releases every window.
+TEST(QueryLanguageTest, SeededMutationsAlwaysReturnAStatus) {
+  const int kMaxEdits = 2;  // stacked edits per mutation
+  const std::vector<std::string> statements = {
+      "Select Avg(Src.v) From Src[Range 1 sec]",
+      "Select Max(Src.v) From Src[Range 1 sec]",
+      "Select Min(t.v) From t[Range 250 ms] Where t.v < 80",
+      "Select Count(Src.v) From Src[Range 1 sec] Having Src.v >= 50",
+      "Select Cov(S1.v, S2.v) From S1[Range 1 sec], S2[Range 1 sec]",
+      "Select Top5(CPU.id, CPU.v) From CPU[Range 1 sec]",
+      "Select Top5(CPU.id, CPU.v) From CPU[Range 1 sec], Mem[Range 1 sec] "
+      "Where Mem.free >= 100000 and CPU.id = Mem.id",
+  };
+  QueryCompiler compiler;
+  RegisterTable1Streams(&compiler);
+  const Tuple tuple(Seconds(1), 0.5, {Value(int64_t{3}), Value(250000.0)});
+  const SimTime kEndOfTime = std::numeric_limits<SimTime>::max();
+
+  Rng rng(20160626);
+  int mutations = 0, compiled = 0;
+  for (const std::string& statement : statements) {
+    for (int i = 0; i < 1000; ++i) {
+      std::string text = statement;
+      for (int edits = static_cast<int>(rng.UniformInt(1, kMaxEdits));
+           edits > 0; --edits) {
+        text = Mutate(text, &rng);
+      }
+      ++mutations;
+      EXPECT_NO_THROW(ParseQuery(text)) << text;
+      std::unique_ptr<QueryGraph> graph;
+      EXPECT_NO_THROW({
+        SourceId next_source = 0;
+        Result<CompiledQuery> q = compiler.CompileString(1, text, &next_source);
+        if (q.ok()) graph = std::move(q->graph);
+      }) << text;
+      if (graph == nullptr) continue;
+      ++compiled;
+      for (size_t id = 0; id < graph->num_operators(); ++id) {
+        Operator* op = graph->op(static_cast<OperatorId>(id));
+        for (int port = 0; port < op->num_ports(); ++port) {
+          op->Ingest({tuple}, port);
+        }
+        std::vector<Tuple> out;
+        op->Advance(kEndOfTime, &out);
+      }
+    }
+  }
+  EXPECT_EQ(mutations, 7000);
+  // The run must reach the operators, not stop at the parser.
+  EXPECT_GT(compiled, 100);
 }
 
 }  // namespace

@@ -7,6 +7,8 @@
 // thread.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
 #include <map>
 #include <memory>
 #include <vector>
@@ -65,9 +67,9 @@ Batch SourceBatch(QueryId q, SourceId src, SimTime now, size_t n) {
 
 // Arrival timeline, sorted ascending; same-time order is query order (the
 // DES schedules its events in exactly this order, so FIFO ties match).
-std::vector<TimedBatch> MakeArrivals() {
+std::vector<TimedBatch> MakeArrivals(SimTime until = kHorizon) {
   std::vector<TimedBatch> arrivals;
-  for (SimTime t = 0; t <= kHorizon; t += Millis(1)) {
+  for (SimTime t = 0; t <= until; t += Millis(1)) {
     for (int q = 0; q < kQueries; ++q) {
       if (t % kPeriods[q] != 0) continue;
       arrivals.push_back(
@@ -156,10 +158,9 @@ ServerOptions OracleServerOptions(size_t workers) {
   ServerOptions opts;
   opts.workers = workers;
   opts.cpu_speed = kCpuSpeed;
+  // Paced admission, caller-driven ticks, no result-SIC feedback and no
+  // channel backpressure: the DES twin has none of them.
   opts.accounting = CostAccounting::kModeled;
-  opts.pace_admission = true;
-  opts.disseminate_sic = false;  // the DES twin has no coordinator either
-  opts.channel_capacity = 1 << 20;  // never backpressure the oracle
   return opts;
 }
 
@@ -202,6 +203,51 @@ void RunServerAndCompare(size_t workers) {
 TEST(ServerOracleTest, CallerDrivenMatchesDes) { RunServerAndCompare(0); }
 
 TEST(ServerOracleTest, SingleWorkerThreadMatchesDes) { RunServerAndCompare(1); }
+
+// Records the disseminated result SIC the shedder is shown, then defers to
+// BALANCE-SIC.
+class SicViewRecorder : public Shedder {
+ public:
+  std::vector<size_t> SelectBatchesToKeep(const std::deque<Batch>& ib,
+                                          const ShedContext& ctx) override {
+    calls += 1;
+    for (double sic : *ctx.query_sic) {
+      max_query_sic = std::max(max_query_sic, sic);
+    }
+    return inner_.SelectBatchesToKeep(ib, ctx);
+  }
+  const char* name() const override { return "sic-view-recorder"; }
+
+  int calls = 0;
+  double max_query_sic = 0.0;
+
+ private:
+  BalanceSicShedder inner_{Rng(7)};
+};
+
+// The DES twin has no coordinator, so a kModeled server must not feed its
+// result SIC back to the shedder either, however long results flow. (The
+// pinned scenario above ends before its first window closes, so it cannot
+// tell.)
+TEST(ServerOracleTest, ModeledRunShowsTheShedderNoResultSic) {
+  const SimTime until = Seconds(8);
+  std::vector<std::unique_ptr<QueryGraph>> graphs = MakeGraphs();
+  ManualClock clock;
+  auto recorder = std::make_unique<SicViewRecorder>();
+  SicViewRecorder* view = recorder.get();
+  ServerPipeline pipeline(OracleServerOptions(/*workers=*/0), &clock,
+                          std::move(recorder));
+  for (const auto& g : graphs) pipeline.AddQuery(g.get());
+  pipeline.Start();
+  std::vector<TimedBatch> arrivals = MakeArrivals(until);
+  DriveDeterministic(&pipeline, &clock, &arrivals, until);
+  pipeline.Stop();
+  for (int q = 0; q < kQueries; ++q) {
+    EXPECT_GT(pipeline.ResultTuplesTotal(q), 0u) << q;
+  }
+  EXPECT_GT(view->calls, 0);
+  EXPECT_EQ(view->max_query_sic, 0.0);
+}
 
 // --- server checkpoint seam ----------------------------------------------
 

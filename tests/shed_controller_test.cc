@@ -49,8 +49,7 @@ Batch IbBatch(QueryId q, size_t tuples) {
 class ShedControllerTest : public ::testing::Test {
  protected:
   ShedControllerTest()
-      : ctl_(kInterval, Seconds(10), /*headroom=*/1.0, MakeShedder(),
-             &stats_) {
+      : ctl_(kInterval, Seconds(10), MakeShedder(), &stats_) {
     ib_.set_pool(&pool_);
   }
 

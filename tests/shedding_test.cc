@@ -78,15 +78,9 @@ TEST(CostModelTest, CapacityNeverBelowOne) {
 }
 
 TEST(OverloadDetectorTest, ThresholdComparison) {
-  OverloadDetector d;
-  EXPECT_FALSE(d.IsOverloaded(100, 100));
-  EXPECT_TRUE(d.IsOverloaded(101, 100));
-}
-
-TEST(OverloadDetectorTest, HeadroomDelaysDetection) {
-  OverloadDetector d(1.5);
-  EXPECT_FALSE(d.IsOverloaded(140, 100));
-  EXPECT_TRUE(d.IsOverloaded(151, 100));
+  // §6: overloaded only once the buffer holds more than c tuples.
+  EXPECT_FALSE(IsOverloaded(100, 100));
+  EXPECT_TRUE(IsOverloaded(101, 100));
 }
 
 TEST(RandomShedderTest, RespectsCapacity) {

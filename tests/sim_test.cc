@@ -134,9 +134,7 @@ TEST(NetworkTest, UnshardedSettersApplyImmediately) {
   EventQueue q;
   Network net(&q, Millis(5));
   EXPECT_TRUE(net.SetLatency(0, 1, Millis(20)).ok());
-  EXPECT_TRUE(net.SetDefaultLatency(Millis(9)).ok());
   EXPECT_EQ(net.Latency(0, 1), Millis(20));
-  EXPECT_EQ(net.Latency(0, 2), Millis(9));
 }
 
 TEST(NetworkTest, MutationQueueAppliesInFifoOrder) {
@@ -144,13 +142,11 @@ TEST(NetworkTest, MutationQueueAppliesInFifoOrder) {
   Network net(&q, Millis(5));
   net.QueueSetLatency(0, 1, Millis(20));
   net.QueueSetLatency(0, 1, Millis(30));  // later edit wins
-  net.QueueSetDefaultLatency(Millis(7));
   EXPECT_TRUE(net.has_queued_mutations());
   EXPECT_EQ(net.Latency(0, 1), Millis(5));  // nothing applied yet
-  EXPECT_EQ(net.ApplyQueuedMutations(), 3u);
+  EXPECT_EQ(net.ApplyQueuedMutations(), 2u);
   EXPECT_FALSE(net.has_queued_mutations());
   EXPECT_EQ(net.Latency(0, 1), Millis(30));
-  EXPECT_EQ(net.Latency(2, 3), Millis(7));
   EXPECT_EQ(net.ApplyQueuedMutations(), 0u);  // drained
 }
 
