@@ -13,8 +13,8 @@ QueryCoordinator::QueryCoordinator(const QueryGraph* graph, Options options,
                                    EventQueue* queue, Network* network)
     : graph_(graph),
       options_(options),
-      queue_(queue),
       network_(network),
+      timer_(this, queue),
       tracker_(options.stw) {}
 
 void QueryCoordinator::AddHost(NodeId node_id, Node* node) {
@@ -23,25 +23,11 @@ void QueryCoordinator::AddHost(NodeId node_id, Node* node) {
 
 void QueryCoordinator::RemoveHost(NodeId node_id) { hosts_.erase(node_id); }
 
-void QueryCoordinator::ArmDisseminate(SimTime at) {
-  next_disseminate_at_ = at;
-  queue_->Schedule(at, [this, gen = generation_] { Disseminate(gen); });
-}
-
 void QueryCoordinator::Start() {
   if (started_) return;
   started_ = true;
   if (options_.disseminate) {
-    ArmDisseminate(queue_->now() + options_.update_interval);
-  }
-}
-
-void QueryCoordinator::MigrateQueue(EventQueue* queue) {
-  if (queue == queue_) return;
-  queue_ = queue;
-  ++generation_;  // neuter the tick still queued on the old shard
-  if (started_ && !stopped_ && options_.disseminate) {
-    ArmDisseminate(next_disseminate_at_);
+    timer_.Arm(queue()->now() + options_.update_interval);
   }
 }
 
@@ -60,19 +46,18 @@ void QueryCoordinator::OnResult(SimTime now,
 }
 
 double QueryCoordinator::CurrentSic() {
-  return tracker_.QuerySic(queue_->now());
+  return tracker_.QuerySic(queue()->now());
 }
 
-void QueryCoordinator::Disseminate(uint64_t gen) {
-  if (gen != generation_) return;  // stale event from before a migration
-  if (stopped_) return;  // do not reschedule: the query was undeployed
+void QueryCoordinator::Disseminate() {
+  if (stopped_) return;  // started after Stop(): do not reschedule
   double sic = CurrentSic();
   QueryId q = graph_->id();
   for (auto& [node_id, node] : hosts_) {
     network_->Send(home_, node_id, kUpdateMessageBytes,
                    [node, q, sic] { node->UpdateQuerySic(q, sic); });
   }
-  ArmDisseminate(queue_->now() + options_.update_interval);
+  timer_.Arm(queue()->now() + options_.update_interval);
 }
 
 }  // namespace themis

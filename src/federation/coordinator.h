@@ -14,6 +14,7 @@
 #include "sic/stw_tracker.h"
 #include "sim/event_queue.h"
 #include "sim/network.h"
+#include "sim/timer.h"
 
 namespace themis {
 
@@ -58,16 +59,18 @@ class QueryCoordinator {
   /// Moves the coordinator to another shard's event queue (elastic
   /// re-balance: the coordinator follows its home node's shard so
   /// dissemination sends and OnResult calls stay shard-local). Only legal
-  /// between engine runs. The dissemination chain re-arms on the new queue
-  /// at its original deadline; the event left on the old queue is neutered
-  /// by a generation bump.
-  void MigrateQueue(EventQueue* queue);
-  EventQueue* queue() const { return queue_; }
+  /// between engine runs. The dissemination timer re-arms on the new queue
+  /// at its original deadline (see sim/timer.h).
+  void MigrateQueue(EventQueue* queue) { timer_.MoveTo(queue); }
+  EventQueue* queue() const { return timer_.queue(); }
 
   /// Stops dissemination and ignores further results (query undeployment).
   /// The object must stay alive until pending timer events have fired; Fsps
   /// retires stopped coordinators instead of destroying them.
-  void Stop() { stopped_ = true; }
+  void Stop() {
+    stopped_ = true;
+    timer_.Cancel();
+  }
   bool stopped() const { return stopped_; }
 
   /// Result delivery from the root operator's node.
@@ -81,17 +84,13 @@ class QueryCoordinator {
   uint64_t result_tuples() const { return result_tuples_; }
 
  private:
-  /// `gen` guards against stale events after MigrateQueue: a tick armed
-  /// before a migration may fire on the old shard's thread and must return
-  /// after the generation check without touching other members.
-  void Disseminate(uint64_t gen);
-  /// Arms the next dissemination tick at `at` on the current queue.
-  void ArmDisseminate(SimTime at);
+  /// Dissemination-timer callback: one updateSIC(Q) round.
+  void Disseminate();
 
   const QueryGraph* graph_;
   Options options_;
-  EventQueue* queue_;
   Network* network_;
+  Timer<QueryCoordinator, &QueryCoordinator::Disseminate> timer_;
   StwTracker tracker_;
   NodeId home_ = 0;
   std::map<NodeId, Node*> hosts_;
@@ -99,11 +98,6 @@ class QueryCoordinator {
   uint64_t result_tuples_ = 0;
   bool started_ = false;
   bool stopped_ = false;
-  // Elastic migration state (see Node's counterpart): the generation stamps
-  // every armed tick; MigrateQueue bumps it and re-arms at the recorded
-  // deadline, preserving the dissemination phase.
-  uint64_t generation_ = 0;
-  SimTime next_disseminate_at_ = 0;
 };
 
 }  // namespace themis

@@ -31,14 +31,13 @@ Fsps::Fsps(FspsOptions options)
     : options_(options),
       rng_(options.seed),
       engine_(std::make_unique<ParallelEngine>(std::max(options.shards, 1))),
-      network_(engine_->queue(0), options.default_link_latency),
+      network_(engine_.get(), options.default_link_latency),
       recovery_(options.recovery) {
   if (options_.elastic) {
     // Elastic runs wrap every sharded delivery in the re-forwarding
     // trampoline and relax the engine's lookahead invariant for stale
-    // re-forwards; both are opt-in because the wrapper costs an allocation
-    // per message. No-ops on a single-shard run.
-    engine_->EnableElastic();
+    // re-forwards; opt-in because the wrapper costs an allocation per
+    // message. The wrapper is off on a single-shard run.
     network_.EnableElastic();
   }
 }
@@ -68,7 +67,7 @@ Status Fsps::ValidateAddNode(int shard) const {
   if (started_ && shards > 1 && !options_.elastic) {
     return Status::FailedPrecondition(
         "adding a node to a started sharded engine requires "
-        "FspsOptions::elastic (the non-elastic shard plan freezes the node "
+        "FspsOptions::elastic (the non-elastic shard map freezes the node "
         "set at Start)");
   }
   return Status::OK();
@@ -83,7 +82,7 @@ NodeId Fsps::AddNodeNow(NodeOptions node_options, int shard) {
   NodeId id = static_cast<NodeId>(nodes_.size());
   int shards = engine_->num_shards();
   int s = shard == kAutoShard ? id % shards : shard;
-  shard_of_node_.push_back(s);
+  network_.AssignShard(id, s);
   nodes_.push_back(std::make_unique<Node>(id, node_options, engine_->queue(s),
                                           this, MakeShedder()));
   if (options_.checkpoint.enabled) {
@@ -94,12 +93,11 @@ NodeId Fsps::AddNodeNow(NodeOptions node_options, int shard) {
     // from Fsps::Start; a joiner does both here, at the control-plane
     // boundary. On a sharded engine the link edit is queued (the matrix is
     // frozen mid-run) and lands at the next RunFor boundary — before any
-    // source can target the node, since deployment is also boundary-only —
-    // and the shard map grows in place so deliveries route to the new
-    // node's shard immediately.
+    // source can target the node, since deployment is also boundary-only.
+    // The network's shard map already holds the joiner, so deliveries route
+    // to its shard immediately.
     if (shards > 1) {
       network_.QueueSetLatency(kInvalidId, id, options_.source_link_latency);
-      network_.UpdateShardMap(shard_of_node_);
       topology_dirty_ = true;  // links to the joiner constrain the epoch
     } else {
       Status st =
@@ -190,7 +188,7 @@ Status Fsps::Deploy(std::unique_ptr<QueryGraph> graph,
   // root operator's host) therefore stays shard-local.
   NodeId home = node_of[graph->root_fragment()];
   auto coordinator = std::make_unique<QueryCoordinator>(
-      graph.get(), options_.coordinator, engine_->queue(shard_of_node_[home]),
+      graph.get(), options_.coordinator, engine_->queue(shard_of(home)),
       &network_);
   coordinator->SetHome(home);
   for (FragmentId frag : frags) {
@@ -238,7 +236,7 @@ Status Fsps::AttachSources(QueryId q,
     // fragment across shards).
     sources_.push_back(std::make_unique<SourceDriver>(
         sb.source, q, sb.target, sb.port, model,
-        engine_->queue(shard_of_node_[dest]), rng_.Fork(), std::move(deliver),
+        engine_->queue(shard_of(dest)), rng_.Fork(), std::move(deliver),
         dest_node->batch_pool()));
     if (started_) sources_.back()->Start();
   }
@@ -262,7 +260,7 @@ Status Fsps::Undeploy(QueryId q) {
     // for the rest of the run. Hand them back to the hosting node's pool
     // before the fragment is unhosted.
     for (OperatorId oid : dq->graph->fragment_ops(frag)) {
-      dq->graph->op(oid)->ReleaseState(nodes_[node_id]->batch_pool());
+      dq->graph->op(oid)->ResetState(nodes_[node_id]->batch_pool());
     }
     nodes_[node_id]->UnhostQuery(q);
   }
@@ -283,24 +281,18 @@ void Fsps::Start() {
   for (const auto& n : nodes_) {
     Status st = network_.SetLatency(kInvalidId, n->id(),
                                     options_.source_link_latency);
-    THEMIS_CHECK(st.ok());  // the shard plan is installed below, never before
+    THEMIS_CHECK(st.ok());  // the topology freezes below, never before
   }
+  network_.Freeze();
   if (engine_->num_shards() > 1) {
-    // Freeze the shard plan and derive the conservative epoch width: the
-    // minimum latency of any link whose endpoints live on different shards
-    // (sources and coordinators are pinned, so node-node links are the only
-    // cross-shard edges). Direct topology edits are rejected from here on;
-    // dynamic runs queue them for the next RunFor boundary, where
-    // ApplyTopologyMutations re-derives the epoch width.
-    ShardPlan plan;
-    plan.shard_of_node = shard_of_node_;
-    for (int s = 0; s < engine_->num_shards(); ++s) {
-      plan.queues.push_back(engine_->queue(s));
-    }
-    plan.sink = engine_->sink();
-    network_.InstallShardPlan(std::move(plan));
-    SimDuration lookahead =
-        network_.MinCrossShardLatency(shard_of_node_, AliveMask());
+    // Derive the conservative epoch width: the minimum latency of any link
+    // whose endpoints live on different shards (sources and coordinators
+    // are pinned, so node-node links are the only cross-shard edges).
+    // Direct topology edits are rejected from here on; dynamic runs queue
+    // them for the next RunFor boundary, where ApplyTopologyMutations
+    // re-derives the epoch width.
+    SimDuration lookahead = network_.MinCrossShardLatency(
+        network_.shard_of_node(), AliveMask());
     // A zero-latency cross-shard link admits no conservative parallel
     // schedule; keep such nodes on one shard instead.
     THEMIS_CHECK(lookahead != 0);
@@ -338,8 +330,8 @@ void Fsps::ApplyTopologyMutations() {
     // nodes carry no future traffic (placements and dissemination hosts
     // were updated when the crash landed) and are excluded, so a dead
     // node's links never narrow the epoch.
-    SimDuration lookahead =
-        network_.MinCrossShardLatency(shard_of_node_, AliveMask());
+    SimDuration lookahead = network_.MinCrossShardLatency(
+        network_.shard_of_node(), AliveMask());
     // Unreachable through the Status-validated APIs (SetLinkLatency
     // rejects non-positive latencies on a sharded engine); kept as the
     // last-resort guard for direct Network access.
@@ -607,7 +599,7 @@ Status Fsps::RebalanceNow(const std::vector<int>& group_of_node) {
     return a.second < b.second;
   });
   std::vector<double> shard_load(shards, 0.0);
-  std::vector<int> new_map = shard_of_node_;
+  std::vector<int> new_map = network_.shard_of_node();
   for (const auto& [l, g] : order) {
     int best = 0;
     for (int s = 1; s < shards; ++s) {
@@ -617,7 +609,7 @@ Status Fsps::RebalanceNow(const std::vector<int>& group_of_node) {
     for (NodeId id : members[g]) new_map[id] = best;
   }
 
-  if (new_map == shard_of_node_) {
+  if (new_map == network_.shard_of_node()) {
     churn_stats_.rebalances += 1;
     return Status::OK();
   }
@@ -642,28 +634,27 @@ Status Fsps::RebalanceNow(const std::vector<int>& group_of_node) {
   }
 
   // Migration, in entity order (see ParallelEngine::EnableElastic for the
-  // protocol): nodes re-point their timer chains, the network's map swaps
-  // in place (traffic counters stay with their shards), coordinators follow
-  // their home node, and source drivers follow their destination host so
-  // generated traffic stays shard-local.
+  // protocol): nodes move their timers, the network's map swaps (traffic
+  // counters stay with their shards), coordinators follow their home node,
+  // and source drivers follow their destination host so generated traffic
+  // stays shard-local.
   uint64_t migrated = 0;
   for (size_t i = 0; i < n; ++i) {
-    if (new_map[i] == shard_of_node_[i]) continue;
+    if (new_map[i] == shard_of(static_cast<NodeId>(i))) continue;
     nodes_[i]->MigrateQueue(engine_->queue(new_map[i]));
     ++migrated;
   }
-  shard_of_node_ = new_map;
-  network_.UpdateShardMap(shard_of_node_);
+  network_.SetShardMap(std::move(new_map));
   for (QueryId q : query_ids()) {
     QueryCoordinator* coord = queries_[q].coordinator.get();
-    coord->MigrateQueue(engine_->queue(shard_of_node_[coord->home()]));
+    coord->MigrateQueue(engine_->queue(shard_of(coord->home())));
   }
   for (auto& src : sources_) {
     if (src->stopped()) continue;
     const DeployedQuery* dq = deployed(src->query_id());
     if (dq == nullptr) continue;
     NodeId dest = dq->node_of[dq->graph->fragment_of(src->target_op())];
-    src->Rehome(engine_->queue(shard_of_node_[dest]),
+    src->Rehome(engine_->queue(shard_of(dest)),
                 nodes_[dest]->batch_pool());
   }
   topology_dirty_ = true;  // the epoch width re-derives at the next RunFor
@@ -783,7 +774,7 @@ void Fsps::ReplaceOrphans(QueryId q, NodeId crashed) {
     switch (options_.crash_state) {
       case CrashStateMode::kReset:
         for (OperatorId oid : graph->fragment_ops(frag)) {
-          graph->op(oid)->ResetState();
+          graph->op(oid)->ResetState(nullptr);
         }
         break;
       case CrashStateMode::kCheckpoint: {

@@ -16,12 +16,12 @@
 #include "federation/topology_plan.h"
 #include "metrics/recovery_tracker.h"
 #include "node/node.h"
-#include "parsim/parallel_engine.h"
 #include "runtime/checkpoint.h"
 #include "runtime/query_graph.h"
 #include "shedding/balance_sic_shedder.h"
 #include "sim/event_queue.h"
 #include "sim/network.h"
+#include "sim/parallel_engine.h"
 #include "workload/sources.h"
 
 namespace themis {
@@ -49,13 +49,13 @@ struct FspsOptions {
   SimDuration default_link_latency = Millis(5);  ///< Table 2 LAN star
   SimDuration source_link_latency = Millis(5);   ///< source -> ingest node
   uint64_t seed = 42;
-  /// Simulation shards of the conservative parallel engine (themis_parsim).
+  /// Simulation shards of the conservative parallel engine.
   /// 1 (default) runs every event on the driver thread with no epoch
   /// machinery; >1 partitions nodes across `shards` worker threads
   /// synchronized in barrier epochs of the minimum cross-shard link
   /// latency. Results are bit-identical run-to-run at any fixed shard
   /// count; identity across shard counts is not promised (see
-  /// parsim/parallel_engine.h). Non-elastic multi-shard runs freeze the
+  /// sim/parallel_engine.h). Non-elastic multi-shard runs freeze the
   /// *node set* at Start(): add all nodes first. All control-plane
   /// mutation — deploy/undeploy and every TopologyPlan — stays between
   /// RunFor calls; link edits queue and apply at the next run boundary,
@@ -159,11 +159,8 @@ class Fsps : public BatchRouter {
   std::vector<NodeId> live_node_ids() const;
   bool node_alive(NodeId id) const;
   /// Simulation shard hosting node `id` (always 0 with shards == 1;
-  /// unknown ids resolve to 0, mirroring ShardPlan::ShardOf).
-  int shard_of(NodeId id) const {
-    if (id < 0 || static_cast<size_t>(id) >= shard_of_node_.size()) return 0;
-    return shard_of_node_[id];
-  }
+  /// unknown ids resolve to 0): the Network's map.
+  int shard_of(NodeId id) const { return network_.ShardOf(id); }
   Network* network() { return &network_; }
   /// Shard 0's event queue. With shards > 1, use engine() for the others;
   /// manual scheduling is only legal between RunFor calls.
@@ -287,7 +284,6 @@ class Fsps : public BatchRouter {
   // hold pointers into them, so it is declared first (destroyed last).
   std::unique_ptr<ParallelEngine> engine_;
   Network network_;
-  std::vector<int> shard_of_node_;
   std::vector<std::unique_ptr<Node>> nodes_;
   /// A deployed query: its graph, the host of each fragment and its
   /// coordinator.

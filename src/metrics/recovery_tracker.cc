@@ -15,6 +15,31 @@ namespace {
 // Jain index regains this fraction of its pre-fault value.
 constexpr double kJainRecoverFraction = 0.95;
 
+// Advances `dip` by one sample `value` taken at `now`, `dt` seconds after
+// the previous step, for a disturbance at `since`. Returns whether the dip
+// is still tracked (not settled).
+bool StepDip(QueryDip* dip, double value, SimTime now, SimTime since,
+             double dt, SimDuration onset_window) {
+  if (value < dip->baseline) {
+    dip->dip_depth = std::max(dip->dip_depth, dip->baseline - value);
+    dip->area_under_dip += (dip->baseline - value) * dt;
+  }
+  if (!dip->dipped) {
+    // Armed: waiting for the STW-smoothed dent to cross the threshold.
+    if (value < dip->threshold) {
+      dip->dipped = true;
+    } else if (now - since > onset_window) {
+      dip->settled = true;  // the fault never touched this series
+    }
+  } else if (value >= dip->threshold) {
+    dip->recovered = true;
+    dip->settled = true;
+    dip->recover_time = now;
+    dip->time_to_recover = now - since;
+  }
+  return !dip->settled;
+}
+
 }  // namespace
 
 std::string DisturbanceKindName(DisturbanceKind kind) {
@@ -85,42 +110,16 @@ void RecoveryTracker::UpdateDisturbance(
       if (!dip.settled) any_open = true;
       continue;
     }
-    double sic = sit->second;
-    if (sic < dip.baseline) {
-      dip.dip_depth = std::max(dip.dip_depth, dip.baseline - sic);
-      dip.area_under_dip += (dip.baseline - sic) * dt;
+    if (StepDip(&dip, sit->second, now, d->time, dt,
+                options_.dip_onset_window)) {
+      any_open = true;
     }
-    if (!dip.dipped) {
-      // Armed: waiting for the STW-smoothed dent to cross the threshold.
-      if (sic < dip.threshold) {
-        dip.dipped = true;
-      } else if (now - d->time > options_.dip_onset_window) {
-        dip.settled = true;  // the fault never touched this query
-      }
-    } else if (sic >= dip.threshold) {
-      dip.recovered = true;
-      dip.settled = true;
-      dip.recover_time = now;
-      dip.time_to_recover = now - d->time;
-    }
-    if (!dip.settled) any_open = true;
   }
-  // The Jain fairness dip follows the same lifecycle at the federation
-  // level: armed until it dents within the onset window, then open until
-  // the index regains kJainRecoverFraction of its pre-fault value.
-  if (!d->jain_settled) {
-    if (!d->jain_dipped) {
-      if (jain < d->jain_threshold) {
-        d->jain_dipped = true;
-      } else if (now - d->time > options_.dip_onset_window) {
-        d->jain_settled = true;  // fairness never dented
-      }
-    } else if (jain >= d->jain_threshold) {
-      d->jain_recovered = true;
-      d->jain_settled = true;
-      d->jain_time_to_recover = now - d->time;
-    }
-    if (!d->jain_settled) any_open = true;
+  // The Jain fairness dip: open until the index regains
+  // kJainRecoverFraction of its pre-fault value.
+  if (!d->jain.settled &&
+      StepDip(&d->jain, jain, now, d->time, dt, options_.dip_onset_window)) {
+    any_open = true;
   }
   d->open = any_open;
 }
@@ -138,11 +137,11 @@ void RecoveryTracker::MarkDisturbance(SimTime now, DisturbanceKind kind) {
   d.time = now;
   d.kind = kind;
   if (samples_ > 0) {
-    d.jain_baseline = latest_jain_;
-    d.jain_threshold = kJainRecoverFraction * d.jain_baseline;
+    d.jain.baseline = latest_jain_;
+    d.jain.threshold = kJainRecoverFraction * d.jain.baseline;
   } else {
     // A mark before the first sample has no pre-fault fairness level.
-    d.jain_settled = true;
+    d.jain.settled = true;
   }
   // Baseline every query at its latest sampled SIC. Queries never sampled
   // yet (a mark before the first cadence tick) get no dip record: there is
@@ -165,6 +164,24 @@ RecoverySummary RecoveryTracker::SummarizeAll() const {
   return SummarizeMatching(true, DisturbanceKind::kCrashWave);
 }
 
+double RecoveryTracker::CensoredTtrMs(const QueryDip& dip,
+                                     SimTime since) const {
+  if (dip.recovered) {
+    return static_cast<double>(dip.time_to_recover) / kMillisecond;
+  }
+  // Censoring floor. An unrecovered dip contributes the time it has been
+  // open at the last sample — but a disturbance armed in the final
+  // dip_onset_window of a run has had almost no elapsed open time, so its
+  // near-zero contribution would *deflate* the censored mean below what the
+  // recovered dips alone show. Such a dip is known to be open for at least
+  // the onset window (the dent is still developing when the run ends), so
+  // its contribution is floored there instead of excluding it outright.
+  double open_ms =
+      static_cast<double>(last_sample_time_ - since) / kMillisecond;
+  return std::max(open_ms, static_cast<double>(options_.dip_onset_window) /
+                               kMillisecond);
+}
+
 RecoverySummary RecoveryTracker::SummarizeMatching(bool any_kind,
                                                    DisturbanceKind kind) const {
   RecoverySummary s;
@@ -174,29 +191,13 @@ RecoverySummary RecoveryTracker::SummarizeMatching(bool any_kind,
   double sum_censored_ttr_ms = 0.0;
   double sum_jain_ttr_ms = 0.0;
   int recovered = 0;
-  // Censoring floor. An unrecovered dip contributes the time it has been
-  // open at the last sample — but a disturbance armed in the final
-  // dip_onset_window of a run has had almost no elapsed open time, so its
-  // near-zero contribution would *deflate* the censored mean below what the
-  // recovered dips alone show. Such a dip is known to be open for at least
-  // the onset window (the dent is still developing when the run ends), so
-  // its contribution is floored there instead of excluding it outright.
-  const double censor_floor_ms =
-      static_cast<double>(options_.dip_onset_window) / kMillisecond;
   for (const Disturbance& d : disturbances_) {
     if (!any_kind && d.kind != kind) continue;
     s.disturbances += 1;
-    if (d.jain_dipped) {
+    if (d.jain.dipped) {
       s.jain_dips += 1;
-      if (d.jain_recovered) {
-        sum_jain_ttr_ms +=
-            static_cast<double>(d.jain_time_to_recover) / kMillisecond;
-      } else {
-        s.jain_unrecovered += 1;
-        double open_ms =
-            static_cast<double>(last_sample_time_ - d.time) / kMillisecond;
-        sum_jain_ttr_ms += std::max(open_ms, censor_floor_ms);
-      }
+      if (!d.jain.recovered) s.jain_unrecovered += 1;
+      sum_jain_ttr_ms += CensoredTtrMs(d.jain, d.time);
     }
     for (const QueryDip& dip : d.dips) {
       if (!dip.dipped) continue;
@@ -204,18 +205,14 @@ RecoverySummary RecoveryTracker::SummarizeMatching(bool any_kind,
       s.max_dip_depth = std::max(s.max_dip_depth, dip.dip_depth);
       sum_dip += dip.dip_depth;
       sum_area += dip.area_under_dip;
+      double ttr_ms = CensoredTtrMs(dip, d.time);
+      sum_censored_ttr_ms += ttr_ms;
       if (dip.recovered) {
-        double ttr_ms =
-            static_cast<double>(dip.time_to_recover) / kMillisecond;
         sum_ttr_ms += ttr_ms;
-        sum_censored_ttr_ms += ttr_ms;
         s.max_ttr_ms = std::max(s.max_ttr_ms, ttr_ms);
         recovered += 1;
       } else {
         s.unrecovered += 1;
-        double open_ms =
-            static_cast<double>(last_sample_time_ - d.time) / kMillisecond;
-        sum_censored_ttr_ms += std::max(open_ms, censor_floor_ms);
       }
     }
   }

@@ -58,14 +58,15 @@ enum class DisturbanceKind {
 
 std::string DisturbanceKindName(DisturbanceKind kind);
 
-/// Per-query recovery record of one disturbance. Lifecycle: armed (waiting
-/// for the STW-smoothed SIC to dent) -> dipped (below the threshold) ->
-/// recovered (back at/above it); queries whose SIC never crosses below the
+/// Recovery record of one series — a query's SIC, or the federation's Jain
+/// index — through one disturbance. Lifecycle: armed (waiting for the
+/// STW-smoothed signal to dent) -> dipped (below the threshold) ->
+/// recovered (back at/above it); series that never cross below the
 /// threshold within the onset window settle as unaffected, and dips still
 /// below threshold at end of run stay open ("unrecovered").
 struct QueryDip {
-  QueryId query = kInvalidId;
-  double baseline = 0.0;   ///< pre-fault SIC (last sample at/before the fault)
+  QueryId query = kInvalidId;  ///< kInvalidId for the Jain dip
+  double baseline = 0.0;   ///< pre-fault value (last sample at/before fault)
   double threshold = 0.0;  ///< recover_fraction * baseline
   double dip_depth = 0.0;  ///< max(baseline - sic) observed before recovery
   double area_under_dip = 0.0;  ///< integral of (baseline - sic)+ dt, seconds
@@ -85,15 +86,9 @@ struct Disturbance {
   int events = 1;  ///< coalesced control-plane calls at this (time, kind)
   std::vector<QueryDip> dips;  ///< query-id order
   bool open = true;  ///< at least one dip (or the Jain dip) not settled
-  /// Fairness dip: the federation-wide Jain index tracked through the
-  /// same armed -> dipped -> recovered lifecycle as a QueryDip, against
-  /// 95% of the pre-fault Jain value.
-  double jain_baseline = 0.0;
-  double jain_threshold = 0.0;
-  bool jain_dipped = false;
-  bool jain_recovered = false;
-  bool jain_settled = false;
-  SimDuration jain_time_to_recover = -1;  ///< -1 while unrecovered
+  /// Fairness dip: the federation-wide Jain index through the same
+  /// lifecycle, against 95% of the pre-fault Jain value.
+  QueryDip jain;
 };
 
 /// Aggregate recovery statistics over a set of disturbances.
@@ -175,6 +170,10 @@ class RecoveryTracker {
 
  private:
   RecoverySummary SummarizeMatching(bool any_kind, DisturbanceKind kind) const;
+  /// Time to recover of a dipped `dip` opened at `since`, in ms; an
+  /// unrecovered dip counts its open time at the last sample, floored at
+  /// the onset window (see SummarizeMatching).
+  double CensoredTtrMs(const QueryDip& dip, SimTime since) const;
   void UpdateDisturbance(
       SimTime now, SimTime prev_sample_time, double jain, Disturbance* d,
       const std::vector<std::pair<QueryId, double>>& sics) const;

@@ -11,8 +11,9 @@ Node::Node(NodeId id, NodeOptions options, EventQueue* queue,
            BatchRouter* router, std::unique_ptr<Shedder> shedder)
     : id_(id),
       options_(options),
-      queue_(queue),
       router_(router),
+      shed_timer_(this, queue),
+      processing_(this, queue),
       ctl_(options.shed_interval, options.stw, std::move(shedder), &stats_),
       stamper_(options.stw) {
   ib_.set_pool(&pool_);
@@ -50,37 +51,11 @@ void Node::UnhostQuery(QueryId q) {
   ib_.RemoveQuery(q);
 }
 
-void Node::ArmShedTimer(SimTime at) {
-  shed_timer_armed_ = true;
-  shed_next_at_ = at;
-  queue_->Schedule(at, [this, gen = generation_] { OnShedTimer(gen); });
-}
-
 void Node::Start() {
   if (started_) return;
   started_ = true;
   if (alive_) {
-    ArmShedTimer(queue_->now() + options_.shed_interval);
-  }
-}
-
-void Node::MigrateQueue(EventQueue* queue) {
-  if (queue == queue_) return;
-  queue_ = queue;
-  // Neuter every timer event still queued on the old shard, then re-arm the
-  // live chains here at their original deadlines: the tick sequence is the
-  // same as if the node had always lived on this shard.
-  ++generation_;
-  if (shed_timer_armed_) {
-    // Re-armed even while crashed: the pending pre-crash tick owns the
-    // armed flag, and its re-homed copy clears it exactly like the stale
-    // original would have (Restore then re-arms as usual).
-    queue_->Schedule(shed_next_at_,
-                     [this, gen = generation_] { OnShedTimer(gen); });
-  }
-  if (processing_scheduled_) {
-    queue_->Schedule(processing_at_,
-                     [this, gen = generation_] { ProcessNext(gen); });
+    shed_timer_.Arm(queue()->now() + options_.shed_interval);
   }
 }
 
@@ -96,8 +71,10 @@ void Node::Crash() {
 void Node::Restore() {
   if (alive_) return;
   alive_ = true;
-  if (started_ && !shed_timer_armed_) {
-    ArmShedTimer(queue_->now() + options_.shed_interval);
+  // A pending pre-crash tick (possibly moved since) keeps the chain armed;
+  // it fires on a live node and carries on as usual.
+  if (started_ && !shed_timer_.armed()) {
+    shed_timer_.Arm(queue()->now() + options_.shed_interval);
   }
 }
 
@@ -107,7 +84,7 @@ SimTime Node::Watermark() const {
   // input buffer holds up to a couple of shedding intervals of data, and
   // closing a window while one input stream's batches for it are still
   // queued would systematically starve multi-input operators.
-  SimTime wm = queue_->now() - options_.window_grace;
+  SimTime wm = queue()->now() - options_.window_grace;
   if (!ib_.empty()) {
     wm = std::min(wm, ib_.batches().front().header.created);
   }
@@ -123,7 +100,7 @@ void Node::Receive(Batch batch) {
     pool_.Release(std::move(batch));
     return;
   }
-  SimTime now = queue_->now();
+  SimTime now = queue()->now();
   stats_.batches_received += 1;
   stats_.tuples_received += batch.size();
 
@@ -180,17 +157,12 @@ std::vector<QueryId> Node::HostedQueries() const {
 }
 
 void Node::ScheduleProcessing() {
-  if (processing_scheduled_ || ib_.empty()) return;
-  processing_scheduled_ = true;
-  SimTime at = std::max(queue_->now(), busy_until_);
-  processing_at_ = at;
-  queue_->Schedule(at, [this, gen = generation_] { ProcessNext(gen); });
+  if (processing_.armed() || ib_.empty()) return;
+  processing_.Arm(std::max(queue()->now(), busy_until_));
 }
 
-void Node::ProcessNext(uint64_t gen) {
-  if (gen != generation_) return;  // stale event from before a migration
-  processing_scheduled_ = false;
-  SimTime now = queue_->now();
+void Node::ProcessNext() {
+  SimTime now = queue()->now();
   if (now < busy_until_) {
     // A shed pass or re-schedule raced us; resume when the CPU frees up.
     ScheduleProcessing();
@@ -247,7 +219,7 @@ void Node::PumpGraph(const HostedState& hs, double* work_us) {
 
 void Node::RouteOutputs(const HostedState& hs, OperatorId op,
                         const std::vector<Tuple>& outputs, double* work_us) {
-  SimTime now = queue_->now();
+  SimTime now = queue()->now();
   const QueryGraph* graph = hs.graph;
 
   if (op == graph->root()) {
@@ -283,14 +255,10 @@ Batch Node::BuildBatch(QueryId query, OperatorId op, int port, SimTime created,
   return b;
 }
 
-void Node::OnShedTimer(uint64_t gen) {
-  if (gen != generation_) return;  // stale event from before a migration
-  if (!alive_) {
-    // Crashed between ticks: let the timer chain die (Restore re-arms it).
-    shed_timer_armed_ = false;
-    return;
-  }
-  SimTime now = queue_->now();
+void Node::OnShedTimer() {
+  // Crashed between ticks: let the timer chain die (Restore re-arms it).
+  if (!alive_) return;
+  SimTime now = queue()->now();
   telemetry::TraceScope span("node.shed_tick");
   ctl_.BeginTick();
   // Close windows that became due even if no batch arrived lately
@@ -307,7 +275,7 @@ void Node::OnShedTimer(uint64_t gen) {
     }
   });
   ctl_.Decide(now, &ib_, pool_, hosted_.size());
-  ArmShedTimer(now + options_.shed_interval);
+  shed_timer_.Arm(now + options_.shed_interval);
 }
 
 }  // namespace themis

@@ -19,6 +19,7 @@
 #include "shedding/shedder.h"
 #include "sic/stw_tracker.h"
 #include "sim/event_queue.h"
+#include "sim/timer.h"
 
 namespace themis {
 
@@ -80,12 +81,14 @@ class Node {
 
   /// Moves the node to another shard's event queue (elastic re-balance; see
   /// ParallelEngine::EnableElastic for the protocol). Only legal between
-  /// engine runs. Live timer chains (shed timer, pending processing event)
-  /// re-arm on the new queue at their original deadlines — the phase is kept —
-  /// and the events still queued on the old shard are neutered by a
-  /// generation bump, so they no-op when that shard fires them.
-  void MigrateQueue(EventQueue* queue);
-  EventQueue* queue() const { return queue_; }
+  /// engine runs. Both timers (shed tick, pending processing event) move:
+  /// live ones re-arm on the new queue at their original deadlines, so the
+  /// phase is kept (see sim/timer.h).
+  void MigrateQueue(EventQueue* queue) {
+    shed_timer_.MoveTo(queue);
+    processing_.MoveTo(queue);
+  }
+  EventQueue* queue() const { return shed_timer_.queue(); }
 
   /// Simulates a node failure: every buffered batch drains back to the
   /// batch pool, further arrivals are dropped at ingress (in-flight batches
@@ -168,12 +171,8 @@ class Node {
   /// unknown queries and while crashed (a dead node observes nothing).
   double ArrivalTuplesStw(QueryId q, SimTime now);
   void ScheduleProcessing();
-  /// `gen` guards against stale events after MigrateQueue: an event armed
-  /// before a migration carries the old generation and must no-op — it may
-  /// fire on the *old* shard's worker thread, so it must return after the
-  /// generation check without touching any other member (generations are
-  /// only written between runs, making the check itself race-free).
-  void ProcessNext(uint64_t gen);
+  /// Processing-timer callback: admits and executes the next buffered batch.
+  void ProcessNext();
   /// Executes one admitted batch through the hosted part of its query graph.
   /// Returns the simulated work in microseconds.
   double ExecuteBatch(const Batch& batch);
@@ -210,15 +209,19 @@ class Node {
   /// Builds a pooled batch addressed to `(query, op, port)` from `tuples`.
   Batch BuildBatch(QueryId query, OperatorId op, int port, SimTime created,
                    const std::vector<Tuple>& tuples);
-  void OnShedTimer(uint64_t gen);
-  /// Arms the shed-timer tick at `at` on the current queue.
-  void ArmShedTimer(SimTime at);
+  /// Shed-timer callback: the periodic §6 detector/shedder tick.
+  void OnShedTimer();
   SimTime Watermark() const;
 
   NodeId id_;
   NodeOptions options_;
-  EventQueue* queue_;
   BatchRouter* router_;
+  // The shed-tick chain: it stops re-arming itself while crashed, and
+  // Restore() must not start a second chain when the last pre-crash tick is
+  // still armed. Its queue is the node's queue.
+  Timer<Node, &Node::OnShedTimer> shed_timer_;
+  // The processing chain: armed while a ProcessNext event is pending.
+  Timer<Node, &Node::ProcessNext> processing_;
 
   NodeStats stats_;
   // The shed loop: admission accounting, cost model, detector, shedder.
@@ -241,20 +244,9 @@ class Node {
   CheckpointStore ckpt_store_;
 
   // Processing bookkeeping.
-  bool processing_scheduled_ = false;
   SimTime busy_until_ = 0;
   bool started_ = false;
   bool alive_ = true;
-  // Whether a shed-timer event chain is live: the timer stops rescheduling
-  // itself while crashed, and Restore() must not start a second chain when
-  // the last pre-crash tick is still queued.
-  bool shed_timer_armed_ = false;
-  // Elastic migration state: the generation stamps every armed timer event;
-  // MigrateQueue bumps it (neutering events left on the old queue) and
-  // re-arms live chains at these recorded deadlines, preserving phase.
-  uint64_t generation_ = 0;
-  SimTime shed_next_at_ = 0;
-  SimTime processing_at_ = 0;
 };
 
 }  // namespace themis

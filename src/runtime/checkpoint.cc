@@ -93,7 +93,7 @@ bool MaybeCheckpointOperator(Operator* op, QueryId q, SimTime now,
 bool RestoreOrResetOperator(Operator* op, QueryId q, CheckpointStore* store) {
   const CheckpointStore::Entry* e = store->Find(q, op->id());
   if (e == nullptr) {
-    op->ResetState();
+    op->ResetState(nullptr);
     store->mutable_stats()->missed += 1;
     return false;
   }

@@ -44,13 +44,8 @@ void WindowedOperator::RestoreFrom(CheckpointReader* r) {
   clear_checkpoint_dirt();
 }
 
-void WindowedOperator::ResetState() {
-  window_.ResetState();
-  clear_checkpoint_dirt();
-}
-
-void WindowedOperator::ReleaseState(BatchPool* pool) {
-  window_.ReleaseState(pool);
+void WindowedOperator::ResetState(BatchPool* pool) {
+  window_.ResetState(pool);
   clear_checkpoint_dirt();
 }
 
@@ -101,20 +96,14 @@ void BinaryWindowedOperator::RestoreFrom(CheckpointReader* r) {
   clear_checkpoint_dirt();
 }
 
-void BinaryWindowedOperator::ResetState() {
-  left_.ResetState();
-  right_.ResetState();
-  pending_left_.clear();
-  pending_right_.clear();
-  clear_checkpoint_dirt();
-}
-
-void BinaryWindowedOperator::ReleaseState(BatchPool* pool) {
-  left_.ReleaseState(pool);
-  right_.ReleaseState(pool);
+void BinaryWindowedOperator::ResetState(BatchPool* pool) {
+  left_.ResetState(pool);
+  right_.ResetState(pool);
   for (auto* pending : {&pending_left_, &pending_right_}) {
-    for (auto& [end, pane] : *pending) {
-      pool->ReleaseTuples(std::move(pane.tuples));
+    if (pool != nullptr) {
+      for (auto& [end, pane] : *pending) {
+        pool->ReleaseTuples(std::move(pane.tuples));
+      }
     }
     pending->clear();
   }
@@ -176,13 +165,8 @@ void PassThroughOperator::RestoreFrom(CheckpointReader* r) {
   clear_checkpoint_dirt();
 }
 
-void PassThroughOperator::ResetState() {
-  pending_.clear();
-  clear_checkpoint_dirt();
-}
-
-void PassThroughOperator::ReleaseState(BatchPool* pool) {
-  pool->ReleaseTuples(std::move(pending_));
+void PassThroughOperator::ResetState(BatchPool* pool) {
+  if (pool != nullptr) pool->ReleaseTuples(std::move(pending_));
   pending_.clear();
   clear_checkpoint_dirt();
 }

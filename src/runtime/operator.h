@@ -50,7 +50,7 @@ class Operator {
   // --- checkpoint seam (runtime/checkpoint.h) -------------------------------
   // Every stateful subclass overrides all three so that
   // RestoreFrom(Checkpoint(x)) reproduces x's mutable state bit for bit and
-  // ResetState() matches a freshly constructed operator. The base class has
+  // ResetState(pool) matches a freshly constructed operator. The base class has
   // no mutable state, so the defaults write/read/reset nothing.
 
   /// Serializes all mutable state (windows, accumulators, cross-pane
@@ -62,13 +62,12 @@ class Operator {
     (void)r;
     clear_checkpoint_dirt();
   }
-  /// Drops all mutable state, as a fresh instance would start.
-  virtual void ResetState() { clear_checkpoint_dirt(); }
-  /// ResetState() that hands recyclable tuple buffers back to `pool`
-  /// (query retirement; see Fsps::Undeploy). Default: plain reset.
-  virtual void ReleaseState(BatchPool* pool) {
+  /// Drops all mutable state, as a fresh instance would start. A null
+  /// `pool` keeps recyclable tuple buffers as spares; a pool receives them
+  /// all (query retirement; see Fsps::Undeploy).
+  virtual void ResetState(BatchPool* pool) {
     (void)pool;
-    ResetState();
+    clear_checkpoint_dirt();
   }
 
   /// Ingested SIC mass since the last Checkpoint/RestoreFrom/ResetState —
@@ -109,8 +108,7 @@ class WindowedOperator : public Operator {
   void Advance(SimTime watermark, std::vector<Tuple>* out) override;
   void Checkpoint(CheckpointWriter* w) const override;
   void RestoreFrom(CheckpointReader* r) override;
-  void ResetState() override;
-  void ReleaseState(BatchPool* pool) override;
+  void ResetState(BatchPool* pool) override;
 
  protected:
   /// Computes derived payloads for one atomic input set. Implementations must
@@ -140,8 +138,7 @@ class BinaryWindowedOperator : public Operator {
   void Advance(SimTime watermark, std::vector<Tuple>* out) override;
   void Checkpoint(CheckpointWriter* w) const override;
   void RestoreFrom(CheckpointReader* r) override;
-  void ResetState() override;
-  void ReleaseState(BatchPool* pool) override;
+  void ResetState(BatchPool* pool) override;
 
  protected:
   virtual void ProcessPanes(const Pane& left, const Pane& right,
@@ -164,8 +161,7 @@ class PassThroughOperator : public Operator {
   void Advance(SimTime watermark, std::vector<Tuple>* out) override;
   void Checkpoint(CheckpointWriter* w) const override;
   void RestoreFrom(CheckpointReader* r) override;
-  void ResetState() override;
-  void ReleaseState(BatchPool* pool) override;
+  void ResetState(BatchPool* pool) override;
 
  private:
   std::vector<Tuple> pending_;

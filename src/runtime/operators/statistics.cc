@@ -123,14 +123,8 @@ void EwmaOp::RestoreFrom(CheckpointReader* r) {
   initialised_ = r->GetU8() != 0;
 }
 
-void EwmaOp::ResetState() {
-  WindowedOperator::ResetState();
-  state_ = 0.0;
-  initialised_ = false;
-}
-
-void EwmaOp::ReleaseState(BatchPool* pool) {
-  WindowedOperator::ReleaseState(pool);
+void EwmaOp::ResetState(BatchPool* pool) {
+  WindowedOperator::ResetState(pool);
   state_ = 0.0;
   initialised_ = false;
 }
@@ -150,14 +144,8 @@ void DeltaOp::RestoreFrom(CheckpointReader* r) {
   has_previous_ = r->GetU8() != 0;
 }
 
-void DeltaOp::ResetState() {
-  WindowedOperator::ResetState();
-  previous_ = 0.0;
-  has_previous_ = false;
-}
-
-void DeltaOp::ReleaseState(BatchPool* pool) {
-  WindowedOperator::ReleaseState(pool);
+void DeltaOp::ResetState(BatchPool* pool) {
+  WindowedOperator::ResetState(pool);
   previous_ = 0.0;
   has_previous_ = false;
 }

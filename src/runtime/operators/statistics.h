@@ -66,8 +66,7 @@ class EwmaOp : public WindowedOperator {
   // after the base window state.
   void Checkpoint(CheckpointWriter* w) const override;
   void RestoreFrom(CheckpointReader* r) override;
-  void ResetState() override;
-  void ReleaseState(BatchPool* pool) override;
+  void ResetState(BatchPool* pool) override;
 
  protected:
   void ProcessPane(const Pane& pane, std::vector<Tuple>* out) override;
@@ -90,8 +89,7 @@ class DeltaOp : public WindowedOperator {
   // Checkpoint seam: the previous-pane mean crosses panes (see EwmaOp).
   void Checkpoint(CheckpointWriter* w) const override;
   void RestoreFrom(CheckpointReader* r) override;
-  void ResetState() override;
-  void ReleaseState(BatchPool* pool) override;
+  void ResetState(BatchPool* pool) override;
 
  protected:
   void ProcessPane(const Pane& pane, std::vector<Tuple>* out) override;

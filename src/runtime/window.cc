@@ -195,7 +195,7 @@ void WindowBuffer::Checkpoint(CheckpointWriter* w) const {
 }
 
 void WindowBuffer::RestoreFrom(CheckpointReader* r) {
-  ResetState();
+  ResetState(nullptr);
   released_up_to_ = r->GetI64();
   uint32_t n_open = r->GetU32();
   for (uint32_t i = 0; i < n_open && r->ok(); ++i) {
@@ -224,34 +224,33 @@ void WindowBuffer::RestoreFrom(CheckpointReader* r) {
   }
 }
 
-void WindowBuffer::ResetState() {
-  for (auto& [idx, pane] : open_) Recycle(std::move(pane.tuples));
+void WindowBuffer::ResetState(BatchPool* pool) {
+  // Hand-back order (open panes, count fill, ready panes, spares) fixes
+  // which buffers the pool hands out next.
+  auto give = [this, pool](std::vector<Tuple>&& buf) {
+    if (pool != nullptr) {
+      pool->ReleaseTuples(std::move(buf));
+    } else {
+      Recycle(std::move(buf));
+    }
+  };
+  for (auto& [idx, pane] : open_) give(std::move(pane.tuples));
   open_.clear();
   cached_idx_ = -1;
   cached_pane_ = nullptr;
   released_up_to_ = 0;
-  sliding_buf_.clear();
+  if (pool != nullptr) {
+    sliding_buf_.Release();
+  } else {
+    sliding_buf_.clear();
+  }
   next_slide_end_ = 0;
   slide_initialized_ = false;
-  Recycle(std::move(count_buf_));
+  give(std::move(count_buf_));
   count_buf_.clear();
-  for (Pane& pane : ready_) Recycle(std::move(pane.tuples));
+  for (Pane& pane : ready_) give(std::move(pane.tuples));
   ready_.clear();
-}
-
-void WindowBuffer::ReleaseState(BatchPool* pool) {
-  for (auto& [idx, pane] : open_) pool->ReleaseTuples(std::move(pane.tuples));
-  open_.clear();
-  cached_idx_ = -1;
-  cached_pane_ = nullptr;
-  released_up_to_ = 0;
-  sliding_buf_.Release();
-  next_slide_end_ = 0;
-  slide_initialized_ = false;
-  pool->ReleaseTuples(std::move(count_buf_));
-  count_buf_.clear();
-  for (Pane& pane : ready_) pool->ReleaseTuples(std::move(pane.tuples));
-  ready_.clear();
+  if (pool == nullptr) return;
   for (std::vector<Tuple>& buf : recycled_) pool->ReleaseTuples(std::move(buf));
   recycled_.clear();
   recycled_.shrink_to_fit();

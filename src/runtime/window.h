@@ -81,12 +81,10 @@ class WindowBuffer {
   /// panes released after capture are re-assembled and re-emitted.
   void RestoreFrom(CheckpointReader* r);
   /// Drops every buffered tuple and rewinds the release watermark, as a
-  /// freshly constructed buffer would start. Spare recycled buffers keep
-  /// their capacity.
-  void ResetState();
-  /// ResetState() that returns all tuple buffers (open/ready panes, the
-  /// count fill, recycled spares) to `pool` instead of freeing them.
-  void ReleaseState(BatchPool* pool);
+  /// freshly constructed buffer would start. A null `pool` keeps the tuple
+  /// buffers as spares (with their capacity); a pool receives all of them
+  /// (open/ready panes, the count fill, recycled spares).
+  void ResetState(BatchPool* pool);
 
  private:
   static constexpr size_t kMaxRecycled = 8;

@@ -9,10 +9,10 @@ namespace themis {
 
 namespace {
 
-// Credits per execution-node input channel. Modeled (oracle) runs never
-// block on a channel: the DES twin has no backpressure.
-constexpr size_t kMeasuredChannelCredits = 64;
-constexpr size_t kModeledChannelCredits = size_t{1} << 20;
+// Credits per execution-node input channel, in both accounting modes.
+// Paced (kModeled) admission puts one batch per modeled busy period into a
+// channel, so an oracle run never waits on them.
+constexpr size_t kChannelCredits = 64;
 
 }  // namespace
 
@@ -44,15 +44,14 @@ void ServerPipeline::AddQuery(const QueryGraph* graph) {
   hq.graph = graph;
   hq.by_op.resize(graph->num_operators());
   hq.pump.clear();
-  const size_t credits =
-      measured_accounting() ? kMeasuredChannelCredits : kModeledChannelCredits;
   // Pump order: fragments ascending, topological order within a fragment —
   // the order window pumps visit operators.
   for (size_t frag = 0; frag < graph->num_fragments(); ++frag) {
     for (OperatorId op :
          graph->fragment_ops(static_cast<FragmentId>(frag))) {
       hq.by_op[op] = std::make_unique<ExecNode>(
-          static_cast<ServerSite*>(this), &sched_, graph, op, credits);
+          static_cast<ServerSite*>(this), &sched_, graph, op,
+          kChannelCredits);
       hq.pump.push_back(hq.by_op[op].get());
     }
   }

@@ -11,17 +11,18 @@
 //  - kMeasured (real runs): busy time is measured per task slice on the
 //    wall clock, capacity scales with the worker count, and admission is
 //    unpaced (the CPU itself is the pacer). A ticker thread runs the shed
-//    tick, result SIC is fed back to the shedder at every tick (a local
-//    stand-in for coordinator dissemination, §5.2), and each execution
-//    node's input channel grants 64 credits.
+//    tick, and result SIC is fed back to the shedder at every tick (a local
+//    stand-in for coordinator dissemination, §5.2).
 //  - kModeled (oracle runs): busy time is computed from operator costs
 //    exactly as the DES does, and admission is paced on the modeled
 //    busy-until — with a ManualClock and 0 workers the pipeline reproduces
 //    the DES schedule, which tests exploit to compare accepted-SIC totals
 //    bit for bit. So it keeps nothing the DES twin lacks: the caller
-//    drives every tick (DriveTick; no ticker thread), nothing disseminates
-//    result SIC (the twin has no coordinator), and channels never apply
-//    backpressure (2^20 credits).
+//    drives every tick (DriveTick; no ticker thread), and nothing
+//    disseminates result SIC (the twin has no coordinator).
+// In both modes each execution node's input channel grants 64 credits;
+// paced admission puts one batch per modeled busy period into a channel,
+// so a kModeled run never waits on them.
 #ifndef THEMIS_SERVER_SERVER_PIPELINE_H_
 #define THEMIS_SERVER_SERVER_PIPELINE_H_
 
@@ -62,8 +63,8 @@ struct ServerOptions {
   SimDuration window_grace = Millis(200);
   /// Worker threads; 0 = caller-driven deterministic mode (RunUntilIdle).
   size_t workers = 4;
-  /// Also selects paced admission, the ticker thread, result-SIC feedback
-  /// and channel credits (see the file comment).
+  /// Also selects paced admission, the ticker thread and result-SIC
+  /// feedback (see the file comment).
   CostAccounting accounting = CostAccounting::kMeasured;
   /// Source backpressure: Push() blocks while the input buffer holds >=
   /// `ib_high_watermark` tuples until it drains to <= `ib_low_watermark`.

@@ -7,8 +7,10 @@
 
 namespace themis {
 
-Network::Network(EventQueue* queue, SimDuration default_latency)
-    : queue_(queue), default_latency_(default_latency), lanes_(1) {}
+Network::Network(ParallelEngine* engine, SimDuration default_latency)
+    : engine_(engine),
+      default_latency_(default_latency),
+      lanes_(engine->num_shards()) {}
 
 void Network::EnsureDim(size_t need) {
   if (need <= dim_) return;
@@ -31,9 +33,9 @@ void Network::ApplyLatency(NodeId a, NodeId b, SimDuration latency) {
 }
 
 Status Network::SetLatency(NodeId a, NodeId b, SimDuration latency) {
-  if (sharded_) {
+  if (frozen_) {
     return Status::FailedPrecondition(
-        "topology frozen under a shard plan; queue the edit "
+        "topology frozen on a sharded network; queue the edit "
         "(QueueSetLatency) for the next epoch boundary instead");
   }
   ApplyLatency(a, b, latency);
@@ -72,24 +74,19 @@ SimDuration Network::MinCrossShardLatency(
   return min_latency;
 }
 
-void Network::InstallShardPlan(ShardPlan plan) {
-  plan_ = std::move(plan);
-  sharded_ = true;
-  // One lane per shard; the traffic counters restart from zero.
-  lanes_.assign(plan_.queues.size(), Lane{});
-}
-
-void Network::UpdateShardMap(std::vector<int> shard_of_node) {
-  THEMIS_CHECK(sharded_);
-  plan_.shard_of_node = std::move(shard_of_node);
+void Network::AssignShard(NodeId id, int shard) {
+  if (static_cast<size_t>(id) >= shard_of_node_.size()) {
+    shard_of_node_.resize(id + 1, 0);
+  }
+  shard_of_node_[id] = shard;
 }
 
 UniqueFunction Network::WrapElastic(NodeId to, int via_shard,
                                     UniqueFunction inner) {
   return UniqueFunction(
       [this, to, via_shard, inner = std::move(inner)]() mutable {
-        int cur = plan_.ShardOf(to);
-        if (cur == via_shard || plan_.sink == nullptr) {
+        int cur = ShardOf(to);
+        if (cur == via_shard) {
           inner();
           return;
         }
@@ -97,9 +94,9 @@ UniqueFunction Network::WrapElastic(NodeId to, int via_shard,
         // re-forward it (re-wrapped, in case it migrates again) to its
         // current shard. It merges at the next epoch barrier and fires
         // there — up to one epoch late, deterministically.
-        SimTime now = plan_.queues[via_shard]->now();
-        plan_.sink->EnqueueRemote(via_shard, cur, now,
-                                  WrapElastic(to, cur, std::move(inner)));
+        SimTime now = engine_->queue(via_shard)->now();
+        engine_->EnqueueRemote(via_shard, cur, now,
+                               WrapElastic(to, cur, std::move(inner)));
       });
 }
 
@@ -119,28 +116,23 @@ void Network::Send(NodeId from, NodeId to, size_t payload_bytes,
                    UniqueFunction on_delivery) {
   // The executing shard: `from`'s, except for the pseudo source node
   // (kInvalidId), whose drivers are pinned to the destination's shard.
-  int shard = sharded_ ? plan_.ShardOf(from != kInvalidId ? from : to) : 0;
+  int shard = ShardOf(from != kInvalidId ? from : to);
   Lane& lane = lanes_[shard];
   ++lane.messages;
   lane.bytes += payload_bytes;
-  SimDuration lat = Latency(from, to);
-  if (!sharded_) {
-    queue_->ScheduleAfter(lat, std::move(on_delivery));
-    return;
-  }
-  EventQueue* src_queue = plan_.queues[shard];
-  SimTime deliver = src_queue->now() + std::max<SimDuration>(lat, 0);
-  int dest_shard = plan_.ShardOf(to);
+  SimTime deliver = engine_->queue(shard)->now() +
+                    std::max<SimDuration>(Latency(from, to), 0);
+  int dest_shard = ShardOf(to);
   if (elastic_) {
     // The destination may migrate before `deliver`; the wrapper re-checks
     // its shard at fire time and re-forwards if it moved.
     on_delivery = WrapElastic(to, dest_shard, std::move(on_delivery));
   }
-  if (dest_shard == shard || plan_.sink == nullptr) {
-    plan_.queues[dest_shard]->Schedule(deliver, std::move(on_delivery));
+  if (dest_shard == shard) {
+    engine_->queue(dest_shard)->Schedule(deliver, std::move(on_delivery));
   } else {
-    plan_.sink->EnqueueRemote(shard, dest_shard, deliver,
-                              std::move(on_delivery));
+    engine_->EnqueueRemote(shard, dest_shard, deliver,
+                           std::move(on_delivery));
   }
 }
 

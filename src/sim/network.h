@@ -7,47 +7,49 @@
 // Latency() lookup on the data-plane hot path is one multiply and one load
 // instead of a std::map walk.
 //
-// Sharded operation: after InstallShardPlan, Send routes same-shard traffic
-// straight onto the executing shard's queue and hands cross-shard traffic to
-// the engine's CrossShardSink. Per-shard "lanes" keep the traffic counters
-// thread-local to the executing shard, so the parallel engine runs without
-// locks; without a plan there is exactly one lane and behaviour is
-// byte-identical to the historical single-queue path.
+// The network is built on the parallel engine and owns the node->shard map
+// (nodes it has never been told about, and the pseudo source node
+// kInvalidId, live on shard 0). Send takes one path at every shard count:
+// it schedules same-shard traffic straight onto the destination shard's
+// queue and hands cross-shard traffic to ParallelEngine::EnqueueRemote.
+// Per-shard "lanes" keep the traffic counters thread-local to the executing
+// shard, so the parallel engine runs without locks.
 //
-// Dynamic topology: once a shard plan is installed the immediate setter
-// rejects edits (the parallel engine's lookahead is derived from the
-// topology; mutating it under a running epoch would let messages undercut
-// the epoch width). Instead, edits go through the mutation queue
-// (QueueSetLatency) and are applied in FIFO order by ApplyQueuedMutations(),
-// which the federation layer calls at an epoch boundary — between engine
-// runs, with every shard clock synchronized — before re-deriving the
-// conservative lookahead. Each queued edit updates
+// Dynamic topology: once a sharded network is frozen (Freeze, at Start) the
+// immediate setter rejects edits (the parallel engine's lookahead is
+// derived from the topology; mutating it under a running epoch would let
+// messages undercut the epoch width). Instead, edits go through the
+// mutation queue (QueueSetLatency) and are applied in FIFO order by
+// ApplyQueuedMutations(), which the federation layer calls at an epoch
+// boundary — between engine runs, with every shard clock synchronized —
+// before re-deriving the conservative lookahead. Each queued edit updates
 // the dense matrix incrementally (two cells, plus growth when a new node id
 // appears); the matrix is never rebuilt from scratch.
 #ifndef THEMIS_SIM_NETWORK_H_
 #define THEMIS_SIM_NETWORK_H_
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "common/function.h"
 #include "common/status.h"
 #include "common/time_types.h"
 #include "runtime/ids.h"
-#include "sim/engine.h"
-#include "sim/event_queue.h"
+#include "sim/parallel_engine.h"
 
 namespace themis {
 
 /// \brief Latency-modelled message delivery between FSPS nodes.
 class Network {
  public:
-  /// \param queue event queue delivering messages (single-shard operation)
+  /// \param engine engine whose shard queues deliver the messages
   /// \param default_latency link latency when no override is set
-  Network(EventQueue* queue, SimDuration default_latency = Millis(5));
+  explicit Network(ParallelEngine* engine,
+                   SimDuration default_latency = Millis(5));
 
-  /// Overrides the latency of the (a, b) link, both directions. Topology is
-  /// frozen once a shard plan is installed — late edits return
+  /// Overrides the latency of the (a, b) link, both directions. A sharded
+  /// network's topology is frozen by Freeze() — late edits return
   /// FailedPrecondition instead of applying; queue them (QueueSetLatency)
   /// to defer them to the next epoch boundary.
   Status SetLatency(NodeId a, NodeId b, SimDuration latency);
@@ -55,8 +57,8 @@ class Network {
   /// Defers a link-latency edit to the next ApplyQueuedMutations() call.
   /// Legal at any time, sharded or not; edits apply in FIFO order.
   void QueueSetLatency(NodeId a, NodeId b, SimDuration latency);
-  /// Applies every queued edit and returns how many were applied. With a
-  /// shard plan installed this must only run at an epoch boundary (between
+  /// Applies every queued edit and returns how many were applied. On a
+  /// frozen network this must only run at an epoch boundary (between
   /// engine runs), and the caller must re-derive the engine lookahead from
   /// MinCrossShardLatency afterwards before resuming.
   size_t ApplyQueuedMutations();
@@ -83,30 +85,47 @@ class Network {
   SimDuration MinCrossShardLatency(const std::vector<int>& shard_of_node,
                                    const std::vector<char>& alive = {}) const;
 
-  /// Switches Send to shard-aware routing (see class comment). The plan's
-  /// queues replace the constructor queue; call before the first event runs.
-  void InstallShardPlan(ShardPlan plan);
+  /// Shard of node `id`: its entry in the map, or 0 beyond the map (and for
+  /// the pseudo source node kInvalidId — Send substitutes the destination
+  /// for kInvalidId senders, since source drivers are pinned to their
+  /// destination node's shard).
+  int ShardOf(NodeId id) const {
+    if (id < 0 || static_cast<size_t>(id) >= shard_of_node_.size()) return 0;
+    return shard_of_node_[id];
+  }
+  /// The node->shard map, indexed by NodeId.
+  const std::vector<int>& shard_of_node() const { return shard_of_node_; }
+  /// Places node `id` on `shard`, growing the map. Nodes join before
+  /// Start or, on an elastic engine, between engine runs.
+  void AssignShard(NodeId id, int shard);
+  /// Replaces the whole map — the elastic re-balance path. Only legal
+  /// between engine runs; the per-shard lanes (traffic counters) stay.
+  void SetShardMap(std::vector<int> shard_of_node) {
+    shard_of_node_ = std::move(shard_of_node);
+  }
+  /// Freezes the topology of a sharded network (see class comment); Fsps
+  /// calls it at Start, when the engine's lookahead is first derived.
+  void Freeze() { frozen_ = engine_->num_shards() > 1; }
 
-  /// Replaces the node->shard map of the installed plan in place — the
-  /// elastic re-balance path. Unlike InstallShardPlan it keeps the per-shard
-  /// lanes (traffic counters stay with their shards). Only legal between
-  /// engine runs, with a plan installed.
-  void UpdateShardMap(std::vector<int> shard_of_node);
-
-  /// Elastic mode: every sharded delivery is wrapped so that a message in
-  /// flight across a re-balance boundary — scheduled on the shard that held
-  /// its destination at send time — re-forwards itself to the destination's
-  /// current shard instead of firing on the stale one (see
+  /// Elastic mode: on a multi-shard engine every delivery is wrapped so
+  /// that a message in flight across a re-balance boundary — scheduled on
+  /// the shard that held its destination at send time — re-forwards itself
+  /// to the destination's current shard instead of firing on the stale
+  /// one, and the engine admits such stragglers (see
   /// ParallelEngine::EnableElastic for the protocol). Call before the first
-  /// send; adds one wrapper per message, so it is opt-in.
-  void EnableElastic() { elastic_ = true; }
+  /// send. The wrapper allocates, so it is opt-in, and a one-shard engine
+  /// (whose map never changes) does not wrap.
+  void EnableElastic() {
+    engine_->EnableElastic();
+    elastic_ = engine_->num_shards() > 1;
+  }
 
   /// Delivers `on_delivery` at the destination after the link latency.
   /// `payload_bytes` only feeds the traffic statistics. The callback may own
   /// its payload (move-only): batches move through the network, not copy.
-  /// With a shard plan installed, must be called from the thread currently
-  /// running the sending entity's shard (`from`'s shard; source drivers use
-  /// from == kInvalidId and run on the destination's shard).
+  /// Must be called from the thread currently running the sending entity's
+  /// shard (`from`'s shard; source drivers use from == kInvalidId and run
+  /// on the destination's shard).
   void Send(NodeId from, NodeId to, size_t payload_bytes,
             UniqueFunction on_delivery);
 
@@ -125,9 +144,9 @@ class Network {
     SimDuration latency;
   };
 
-  /// Wraps a sharded delivery callback for elastic mode: fires `inner` if
-  /// the destination still lives on `via_shard`, else re-forwards it (re-
-  /// wrapped) to the destination's current shard through the sink.
+  /// Wraps a delivery callback for elastic mode: fires `inner` if the
+  /// destination still lives on `via_shard`, else re-forwards it (re-
+  /// wrapped) to the destination's current shard through the engine.
   UniqueFunction WrapElastic(NodeId to, int via_shard, UniqueFunction inner);
 
   /// Grows the matrix to cover ids up to `need - 2` (index dimension
@@ -138,20 +157,20 @@ class Network {
   void ApplyLatency(NodeId a, NodeId b, SimDuration latency);
 
   /// Per-shard mutable state, padded so two shards' counters never share a
-  /// cache line. Lane 0 doubles as the single-shard state.
+  /// cache line.
   struct alignas(64) Lane {
     uint64_t messages = 0;
     uint64_t bytes = 0;
   };
 
-  EventQueue* queue_;
+  ParallelEngine* engine_;
   SimDuration default_latency_;
   std::vector<SimDuration> matrix_;  // dim_ x dim_, kNoOverride = default
   size_t dim_ = 0;
   std::vector<PendingMutation> pending_;
-  std::vector<Lane> lanes_;
-  ShardPlan plan_;
-  bool sharded_ = false;
+  std::vector<Lane> lanes_;  // one per shard
+  std::vector<int> shard_of_node_;
+  bool frozen_ = false;
   bool elastic_ = false;
 };
 

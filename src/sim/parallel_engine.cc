@@ -1,4 +1,4 @@
-#include "parsim/parallel_engine.h"
+#include "sim/parallel_engine.h"
 
 #include <algorithm>
 #include <barrier>

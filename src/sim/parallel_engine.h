@@ -1,20 +1,24 @@
-// themis_parsim: conservative parallel discrete-event engine.
+// Conservative parallel discrete-event engine: the one engine every
+// federation runs on, at any shard count.
 //
 // The federation's nodes are partitioned across `shards` worker threads,
-// each advancing its own EventQueue. Shards synchronize in barrier epochs
-// whose width is the lookahead — the minimum cross-shard link latency
-// (Fsps computes it from Network topology and node placement): any message
-// sent during an epoch is delivered strictly after the epoch's end, so each
-// shard can run one epoch without observing the others.
+// each advancing its own EventQueue; a shard is that queue plus the
+// entities pinned to it. Entities on one shard interact directly; entities
+// on different shards interact only through Network::Send. Shards
+// synchronize in barrier epochs whose width is the lookahead — the minimum
+// cross-shard link latency (Fsps computes it from Network topology and the
+// Network's node->shard map): any message sent during an epoch is
+// delivered strictly after the epoch's end, so each shard can run one epoch
+// without observing the others.
 //
-// Cross-shard Network::Send calls enqueue into per-(from, to) shard-pair
-// inbox rings (each written by exactly one worker, lock-free). At the epoch
-// barrier every destination shard merges its incoming rings in the
-// deterministic order (deliver_time, from_shard, ring_seq) and schedules
-// them onto its queue, so results are bit-identical run-to-run at any fixed
-// shard count. One shard bypasses the epoch machinery entirely: RunUntil is
-// a plain EventQueue::RunUntil on the driver thread, which is how Fsps runs
-// every single-shard federation.
+// Cross-shard sends enqueue into per-(from, to) shard-pair inbox rings
+// (EnqueueRemote; each ring is written by exactly one worker, lock-free).
+// At the epoch barrier every destination shard merges its incoming rings in
+// the deterministic order (deliver_time, from_shard, ring_seq) and
+// schedules them onto its queue, so results are bit-identical run-to-run at
+// any fixed shard count. One shard bypasses the epoch machinery entirely:
+// RunUntil is a plain EventQueue::RunUntil on the driver thread, which is
+// how Fsps runs every single-shard federation.
 //
 // Bit-identity *across* shard counts is not part of the contract: it holds
 // only where CI checks it (the static scale scenario, shards 1 vs 4), and
@@ -25,15 +29,14 @@
 // emits are therefore deterministic; and the merge order is a pure function
 // of ring contents. Wall-clock interleaving of the workers never orders
 // events, only the simulated-time epochs do.
-#ifndef THEMIS_PARSIM_PARALLEL_ENGINE_H_
-#define THEMIS_PARSIM_PARALLEL_ENGINE_H_
+#ifndef THEMIS_SIM_PARALLEL_ENGINE_H_
+#define THEMIS_SIM_PARALLEL_ENGINE_H_
 
 #include <memory>
 #include <vector>
 
 #include "common/function.h"
 #include "common/time_types.h"
-#include "sim/engine.h"
 #include "sim/event_queue.h"
 #include "telemetry/telemetry.h"
 
@@ -41,18 +44,16 @@ namespace themis {
 
 /// \brief Sharded barrier-epoch engine (see file comment): one or more
 /// EventQueue shards advanced together to a common target time.
-class ParallelEngine : public CrossShardSink {
+class ParallelEngine {
  public:
   /// \param shards number of worker shards (>= 1)
   explicit ParallelEngine(int shards);
-  ~ParallelEngine() override;
+  ~ParallelEngine();
 
   int num_shards() const { return static_cast<int>(queues_.size()); }
   /// The event queue of `shard` (0 <= shard < num_shards()). Entities pinned
   /// to a shard schedule their callbacks on its queue.
   EventQueue* queue(int shard) { return queues_[shard].get(); }
-  /// Cross-shard message sink (installed into the Network's ShardPlan).
-  CrossShardSink* sink() { return this; }
 
   /// Sets the epoch width: the conservative lookahead (minimum cross-shard
   /// link latency). Must be > 0 when cross-shard traffic exists (a
@@ -77,11 +78,12 @@ class ParallelEngine : public CrossShardSink {
   /// every step happens between RunUntil calls, where all shard clocks are
   /// equal and the cross-shard inbox rings are provably empty (the final
   /// epoch's merge runs before RunUntil returns):
-  ///   1. Entities re-point their timer chains at the new shard's queue,
-  ///      bumping a generation counter so events still queued on the old
-  ///      shard no-op when they fire there (generations are only written
-  ///      between runs, so worker-thread reads are race-free).
-  ///   2. The Network's shard map is swapped in place (the per-shard
+  ///   1. Entities move their timers (sim/timer.h) to the new shard's
+  ///      queue: a live timer re-arms there at its deadline, and the event
+  ///      left on the old shard no-ops when it fires (Timer's generation
+  ///      guard; generations are only written between runs, so
+  ///      worker-thread reads are race-free).
+  ///   2. The Network's shard map is swapped in one call (the per-shard
   ///      traffic counters stay with their shards).
   ///   3. In-flight deliveries scheduled before the re-balance fire on the
   ///      shard that held the destination at send time; the Network's
@@ -107,9 +109,12 @@ class ParallelEngine : public CrossShardSink {
   /// Total events executed across all shards (diagnostics).
   uint64_t executed() const;
 
-  // CrossShardSink — called from the worker thread running `from_shard`.
+  /// Buffers a delivery for `to_shard` at simulated time `deliver_time` in
+  /// the (from_shard, to_shard) inbox ring; it merges into `to_shard`'s
+  /// queue at the next epoch barrier. Must be called from the thread
+  /// currently running `from_shard` (Network::Send does).
   void EnqueueRemote(int from_shard, int to_shard, SimTime deliver_time,
-                     UniqueFunction cb) override;
+                     UniqueFunction cb);
 
  private:
   /// One buffered cross-shard delivery. Ring order encodes the send order
@@ -145,4 +150,4 @@ class ParallelEngine : public CrossShardSink {
 
 }  // namespace themis
 
-#endif  // THEMIS_PARSIM_PARALLEL_ENGINE_H_
+#endif  // THEMIS_SIM_PARALLEL_ENGINE_H_

@@ -7,8 +7,9 @@
 // shard counts. Two mechanisms make that hold under the parallel engine:
 //
 //  - Every hot-path slot is a per-lane relaxed atomic (lanes are cache-line
-//    padded; parsim workers call telemetry::SetLane(shard)). Integer adds
-//    commute, so the merged value is independent of thread interleaving.
+//    padded; parallel-engine workers call telemetry::SetLane(shard)).
+//    Integer adds commute, so the merged value is independent of thread
+//    interleaving.
 //  - Sums of fractional quantities (SIC mass, shed fractions) accumulate
 //    as Q44.20 fixed point (`FixedFromDouble`), never as floats, so the
 //    merge is associative bit for bit.
@@ -34,7 +35,7 @@
 namespace themis {
 namespace telemetry {
 
-/// Max concurrent writer lanes (parsim shards). Writes from lanes >= this
+/// Max concurrent writer lanes (engine shards). Writes from lanes >= this
 /// clamp into the last lane; correctness is unaffected, only contention.
 inline constexpr int kMaxLanes = 16;
 

@@ -14,7 +14,7 @@ SourceDriver::SourceDriver(SourceId source, QueryId query, OperatorId target_op,
       target_op_(target_op),
       target_port_(target_port),
       model_(model),
-      queue_(queue),
+      timer_(this, queue),
       rng_(rng),
       deliver_(std::move(deliver)),
       pool_(pool) {
@@ -27,33 +27,18 @@ SourceDriver::SourceDriver(SourceId source, QueryId query, OperatorId target_op,
       std::llround(std::max(model_.tuples_per_sec / bps, 1.0)));
 }
 
-void SourceDriver::ArmGenerate(SimTime at) {
-  next_generate_at_ = at;
-  queue_->Schedule(at, [this, gen = generation_] { GenerateBatch(gen); });
-}
-
 void SourceDriver::Start() {
   if (started_) return;
   started_ = true;
   // Stagger the first emission so sources do not fire in lockstep.
   SimDuration offset =
       static_cast<SimDuration>(rng_.UniformInt(0, period_ - 1));
-  ArmGenerate(queue_->now() + offset);
-}
-
-void SourceDriver::Rehome(EventQueue* queue, BatchPool* pool) {
-  pool_ = pool;  // cross-pool Release is fine: batches recycle where they land
-  if (queue == queue_) return;
-  queue_ = queue;
-  ++generation_;  // neuter the emission still queued on the old shard
-  if (started_ && !stopped_) {
-    ArmGenerate(next_generate_at_);
-  }
+  timer_.Arm(queue()->now() + offset);
 }
 
 size_t SourceDriver::CurrentBatchSize() {
   if (model_.burst_prob > 0.0) {
-    SimTime second = queue_->now() / kSecond;
+    SimTime second = queue()->now() / kSecond;
     if (second > burst_rolled_until_) {
       burst_rolled_until_ = second;
       bursting_ = rng_.Bernoulli(model_.burst_prob);
@@ -65,7 +50,7 @@ size_t SourceDriver::CurrentBatchSize() {
   // untouched byte-for-byte.
   double diurnal = 1.0;
   if (model_.diurnal_amplitude > 0.0 && model_.diurnal_period > 0) {
-    SimTime phase = queue_->now() % model_.diurnal_period;
+    SimTime phase = queue()->now() % model_.diurnal_period;
     SimTime half = model_.diurnal_period / 2;
     double tri = phase <= half
                      ? -1.0 + 2.0 * static_cast<double>(phase) /
@@ -84,10 +69,11 @@ size_t SourceDriver::CurrentBatchSize() {
   return static_cast<size_t>(std::llround(std::max(per_batch, 1.0)));
 }
 
-void SourceDriver::GenerateBatch(uint64_t gen) {
-  if (gen != generation_) return;  // stale event from before a re-homing
+void SourceDriver::GenerateBatch() {
+  // Fsps starts every driver, including one stopped before Start: its
+  // first emission fires here and ends the chain.
   if (stopped_) return;
-  SimTime now = queue_->now();
+  SimTime now = queue()->now();
   size_t n = CurrentBatchSize();
 
   // Generate straight into a (pooled) batch buffer; source tuples carry
@@ -112,7 +98,7 @@ void SourceDriver::GenerateBatch(uint64_t gen) {
   b.RefreshHeaderSic();
   deliver_(std::move(b));
 
-  ArmGenerate(queue_->now() + period_);
+  timer_.Arm(queue()->now() + period_);
 }
 
 }  // namespace themis

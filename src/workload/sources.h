@@ -15,6 +15,7 @@
 #include "runtime/batch.h"
 #include "runtime/batch_pool.h"
 #include "sim/event_queue.h"
+#include "sim/timer.h"
 #include "workload/distributions.h"
 
 namespace themis {
@@ -59,31 +60,34 @@ class SourceDriver {
   /// Starts periodic generation; emits `batches_per_sec` batches per second.
   void Start();
 
-  /// Stops generation after the currently scheduled batch (idempotent). The
-  /// driver object stays alive so pending timer events remain valid.
-  void Stop() { stopped_ = true; }
+  /// Stops generation (idempotent): the scheduled emission fires as a
+  /// no-op. The driver object stays alive so pending timer events remain
+  /// valid.
+  void Stop() {
+    stopped_ = true;
+    timer_.Cancel();
+  }
   bool stopped() const { return stopped_; }
 
   /// Moves the driver to another shard's queue and batch pool (elastic
   /// re-balance: a driver follows its destination node's shard so its
   /// deliveries stay shard-local). Only legal between engine runs. The
-  /// generation chain re-arms on the new queue at its original deadline —
-  /// the emission schedule is unchanged — and the event left on the old
-  /// queue is neutered by a generation bump.
-  void Rehome(EventQueue* queue, BatchPool* pool);
-  EventQueue* queue() const { return queue_; }
+  /// emission timer re-arms on the new queue at its original deadline, so
+  /// the emission schedule is unchanged (see sim/timer.h).
+  void Rehome(EventQueue* queue, BatchPool* pool) {
+    // Cross-pool Release is fine: batches recycle where they land.
+    pool_ = pool;
+    timer_.MoveTo(queue);
+  }
+  EventQueue* queue() const { return timer_.queue(); }
 
   QueryId query_id() const { return query_; }
   OperatorId target_op() const { return target_op_; }
   uint64_t tuples_generated() const { return tuples_generated_; }
 
  private:
-  /// `gen` guards against stale events after Rehome: an emission armed
-  /// before a migration may fire on the old shard's thread and must return
-  /// after the generation check without touching other members.
-  void GenerateBatch(uint64_t gen);
-  /// Arms the next emission at `at` on the current queue.
-  void ArmGenerate(SimTime at);
+  /// Emission-timer callback: generates and delivers one batch.
+  void GenerateBatch();
   size_t CurrentBatchSize();
 
   SourceId source_;
@@ -91,7 +95,7 @@ class SourceDriver {
   OperatorId target_op_;
   int target_port_;
   SourceModel model_;
-  EventQueue* queue_;
+  Timer<SourceDriver, &SourceDriver::GenerateBatch> timer_;
   Rng rng_;
   std::function<void(Batch)> deliver_;
   BatchPool* pool_;
@@ -104,9 +108,6 @@ class SourceDriver {
   uint64_t tuples_generated_ = 0;
   bool started_ = false;
   bool stopped_ = false;
-  // Elastic migration state (see Node's counterpart).
-  uint64_t generation_ = 0;
-  SimTime next_generate_at_ = 0;
 };
 
 }  // namespace themis

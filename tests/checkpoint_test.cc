@@ -173,7 +173,7 @@ TEST(WindowCheckpointTest, ResetStateMatchesAFreshBuffer) {
   WindowBuffer a(WindowSpec::TumblingTime(kSecond));
   for (int i = 0; i < 10; ++i) a.Add(T1(i * Millis(300), Wobble(i)));
   a.Advance(2 * kSecond);
-  a.ResetState();
+  a.ResetState(nullptr);
   EXPECT_EQ(a.buffered(), 0u);
   // The watermark rewound too: pane 0 fills and releases like new.
   a.Add(T1(100, 4.0, 0.3));
@@ -352,7 +352,7 @@ TEST(CheckpointStoreTest, RestoreOrResetFallsBackToReset) {
   // With an image: restore wins and counts.
   op.Ingest({T1(kSecond + 1, 5.0, 0.2)}, 0);
   ASSERT_TRUE(MaybeCheckpointOperator(&op, 9, Millis(5), 0.0, &store));
-  op.ResetState();
+  op.ResetState(nullptr);
   EXPECT_TRUE(RestoreOrResetOperator(&op, 9, &store));
   EXPECT_EQ(store.stats().restores, 1u);
   ASSERT_EQ(Advance(op, 2 * kSecond).size(), 1u);

@@ -19,7 +19,7 @@ class NullRouter : public BatchRouter {
 
 class CoordinatorTest : public ::testing::Test {
  protected:
-  CoordinatorTest() : network_(&queue_, Millis(5)) {
+  CoordinatorTest() : network_(&engine_, Millis(5)) {
     QueryBuilder b(1, "q");
     OperatorId r = b.Add(std::make_unique<ReceiverOp>(), 0);
     OperatorId o = b.Add(std::make_unique<OutputOp>(), 1);
@@ -43,7 +43,8 @@ class CoordinatorTest : public ::testing::Test {
     return ts;
   }
 
-  EventQueue queue_;
+  ParallelEngine engine_{1};
+  EventQueue& queue_ = *engine_.queue(0);
   Network network_;
   NullRouter router_;
   std::unique_ptr<QueryGraph> graph_;

@@ -1,16 +1,15 @@
-// Tests for the conservative parallel engine (themis_parsim): the one-shard
-// path every single-shard federation runs on, cross-shard delivery through
-// the epoch barriers, and the deterministic (deliver_time, from_shard,
-// ring_seq) merge order.
+// Tests for the conservative parallel engine (sim/parallel_engine.h): the
+// one-shard path every single-shard federation runs on, cross-shard delivery
+// through the epoch barriers, and the deterministic (deliver_time,
+// from_shard, ring_seq) merge order.
 #include <gtest/gtest.h>
 
 #include <utility>
 #include <vector>
 
 #include "federation/fsps.h"
-#include "parsim/parallel_engine.h"
-#include "sim/engine.h"
 #include "sim/network.h"
+#include "sim/parallel_engine.h"
 
 namespace themis {
 namespace {
@@ -84,7 +83,7 @@ TEST(ParallelEngineTest, ShardsAdvanceTogetherWithoutCrossTraffic) {
   EXPECT_EQ(engine.executed(), 6u);
 }
 
-// One latency override, applied before the shard plan freezes the topology.
+// One latency override, applied before Freeze() freezes the topology.
 struct LinkSpec {
   NodeId a;
   NodeId b;
@@ -95,17 +94,14 @@ struct LinkSpec {
 // link latency (also the lookahead — overrides must not go below it).
 struct TwoShardNet {
   ParallelEngine engine{2};
-  Network net{engine.queue(0), Millis(10)};
+  Network net{&engine, Millis(10)};
 
   explicit TwoShardNet(std::vector<LinkSpec> links = {}) {
     for (const LinkSpec& link : links) {
       net.SetLatency(link.a, link.b, link.latency);
     }
-    ShardPlan plan;
-    plan.shard_of_node = {0, 1};
-    plan.queues = {engine.queue(0), engine.queue(1)};
-    plan.sink = engine.sink();
-    net.InstallShardPlan(std::move(plan));
+    net.SetShardMap({0, 1});
+    net.Freeze();
     engine.SetLookahead(Millis(10));
   }
 };
@@ -166,12 +162,8 @@ TEST(ParallelEngineTest, MergeOrdersByTimeThenShard) {
   // delivery times. The merge must order by (deliver_time, from_shard),
   // regardless of wall-clock interleaving.
   ParallelEngine engine(3);
-  Network net(engine.queue(0), Millis(10));
-  ShardPlan plan;
-  plan.shard_of_node = {0, 1, 2};
-  plan.queues = {engine.queue(0), engine.queue(1), engine.queue(2)};
-  plan.sink = engine.sink();
-  net.InstallShardPlan(std::move(plan));
+  Network net(&engine, Millis(10));
+  net.SetShardMap({0, 1, 2});
   engine.SetLookahead(Millis(10));
 
   std::vector<int> order;  // only touched by shard 2
@@ -255,7 +247,7 @@ TEST(ParallelEngineTest, RunForZeroRunsEventsAtCurrentClock) {
   EXPECT_EQ(delivered_at, Millis(30));
 }
 
-TEST(ParallelEngineTest, TopologyFrozenUnderShardPlan) {
+TEST(ParallelEngineTest, TopologyFrozenOnShardedNetwork) {
   // Outcome 1 of a late topology edit: the immediate setter rejects it
   // with a Status error (no more process abort) and the matrix is
   // untouched.
@@ -300,8 +292,8 @@ TEST(ParallelEngineTest, QueuedTopologyEditDefersToEpochBoundary) {
 TEST(ParallelEngineTest, MinCrossShardLatencySkipsDeadNodes) {
   // Lookahead re-derivation after a crash: links touching a dead node
   // carry no future traffic and must not narrow the epoch.
-  EventQueue q;
-  Network net(&q, Millis(50));
+  ParallelEngine engine(1);
+  Network net(&engine, Millis(50));
   net.SetLatency(0, 3, Millis(5));  // the tightest link, endpoint 3
   std::vector<int> shard_of_node = {0, 0, 1, 1};
   EXPECT_EQ(net.MinCrossShardLatency(shard_of_node), Millis(5));
@@ -318,7 +310,7 @@ TEST(ParallelEngineTest, AddNodeAfterStartRejectedWithoutElastic) {
   Fsps fsps(opts);
   fsps.AddNode();
   fsps.AddNode(opts.node, 1);
-  fsps.RunFor(Millis(100));  // Start(): the non-elastic shard plan freezes
+  fsps.RunFor(Millis(100));  // Start(): the non-elastic shard map freezes
   Result<NodeId> late = fsps.AddNode(opts.node, 0);
   ASSERT_FALSE(late.ok());
   EXPECT_TRUE(late.status().IsFailedPrecondition());

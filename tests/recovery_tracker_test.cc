@@ -101,8 +101,8 @@ TEST(RecoveryTrackerTest, LateDipAtRunEndIsFlooredAtTheOnsetWindow) {
 
   const Disturbance& d = tracker.disturbances()[0];
   EXPECT_TRUE(d.open);
-  EXPECT_TRUE(d.jain_dipped);
-  EXPECT_FALSE(d.jain_recovered);
+  EXPECT_TRUE(d.jain.dipped);
+  EXPECT_FALSE(d.jain.recovered);
 
   RecoverySummary s = tracker.Summarize(DisturbanceKind::kCrashWave);
   EXPECT_EQ(s.affected, 1);
@@ -271,12 +271,12 @@ TEST(RecoveryTrackerTest, JainDipFollowsTheArmedDippedRecoveredLifecycle) {
   tracker.Sample(Seconds(3), Sics{{0, 1.0}, {1, 0.9}});
 
   const Disturbance& d = tracker.disturbances()[0];
-  EXPECT_DOUBLE_EQ(d.jain_baseline, 1.0);
-  EXPECT_DOUBLE_EQ(d.jain_threshold, 0.95);
-  EXPECT_TRUE(d.jain_dipped);
-  EXPECT_TRUE(d.jain_recovered);
-  EXPECT_TRUE(d.jain_settled);
-  EXPECT_EQ(d.jain_time_to_recover, Seconds(2));
+  EXPECT_DOUBLE_EQ(d.jain.baseline, 1.0);
+  EXPECT_DOUBLE_EQ(d.jain.threshold, 0.95);
+  EXPECT_TRUE(d.jain.dipped);
+  EXPECT_TRUE(d.jain.recovered);
+  EXPECT_TRUE(d.jain.settled);
+  EXPECT_EQ(d.jain.time_to_recover, Seconds(2));
 
   RecoverySummary s = tracker.Summarize(DisturbanceKind::kCrashWave);
   EXPECT_EQ(s.jain_dips, 1);
@@ -292,10 +292,10 @@ TEST(RecoveryTrackerTest, UnrecoveredJainDipIsCensoredIntoTheMean) {
   tracker.Sample(Seconds(4), Sics{{0, 1.0}, {1, 0.2}});  // still unfair
 
   const Disturbance& d = tracker.disturbances()[0];
-  EXPECT_TRUE(d.jain_dipped);
-  EXPECT_FALSE(d.jain_recovered);
+  EXPECT_TRUE(d.jain.dipped);
+  EXPECT_FALSE(d.jain.recovered);
   EXPECT_TRUE(d.open);
-  EXPECT_EQ(d.jain_time_to_recover, -1);
+  EXPECT_EQ(d.jain.time_to_recover, -1);
 
   // Censored: the open dip counts its elapsed time (4s - 1s = 3s).
   RecoverySummary s = tracker.Summarize(DisturbanceKind::kCrashWave);
@@ -313,8 +313,8 @@ TEST(RecoveryTrackerTest, SteadyJainSettlesAfterTheOnsetWindow) {
   tracker.Sample(Seconds(4), Sics{{0, 0.95}, {1, 0.95}});  // past onset
 
   const Disturbance& d = tracker.disturbances()[0];
-  EXPECT_FALSE(d.jain_dipped);
-  EXPECT_TRUE(d.jain_settled);
+  EXPECT_FALSE(d.jain.dipped);
+  EXPECT_TRUE(d.jain.settled);
   RecoverySummary s = tracker.Summarize(DisturbanceKind::kCrashWave);
   EXPECT_EQ(s.jain_dips, 0);
   EXPECT_DOUBLE_EQ(s.mean_jain_ttr_ms, 0.0);

@@ -1,11 +1,13 @@
 // Tests for the discrete-event core: event ordering, clock semantics,
-// network latency and statistics.
+// network latency and statistics, and the migratable timer.
 #include <gtest/gtest.h>
 
 #include <vector>
 
 #include "sim/event_queue.h"
 #include "sim/network.h"
+#include "sim/parallel_engine.h"
+#include "sim/timer.h"
 
 namespace themis {
 namespace {
@@ -65,8 +67,9 @@ TEST(EventQueueTest, PastSchedulingClampsToNow) {
 }
 
 TEST(NetworkTest, DefaultLatencyApplied) {
-  EventQueue q;
-  Network net(&q, Millis(5));
+  ParallelEngine engine(1);
+  EventQueue& q = *engine.queue(0);
+  Network net(&engine, Millis(5));
   SimTime delivered_at = -1;
   net.Send(0, 1, 100, [&] { delivered_at = q.now(); });
   q.RunAll();
@@ -74,8 +77,9 @@ TEST(NetworkTest, DefaultLatencyApplied) {
 }
 
 TEST(NetworkTest, PerLinkOverride) {
-  EventQueue q;
-  Network net(&q, Millis(5));
+  ParallelEngine engine(1);
+  EventQueue& q = *engine.queue(0);
+  Network net(&engine, Millis(5));
   net.SetLatency(0, 1, Millis(50));
   SimTime t01 = -1, t02 = -1;
   net.Send(0, 1, 10, [&] { t01 = q.now(); });
@@ -86,22 +90,23 @@ TEST(NetworkTest, PerLinkOverride) {
 }
 
 TEST(NetworkTest, LatencyIsSymmetric) {
-  EventQueue q;
-  Network net(&q, Millis(5));
+  ParallelEngine engine(1);
+  Network net(&engine, Millis(5));
   net.SetLatency(3, 1, Millis(42));
   EXPECT_EQ(net.Latency(1, 3), Millis(42));
   EXPECT_EQ(net.Latency(3, 1), Millis(42));
 }
 
 TEST(NetworkTest, SelfDeliveryIsImmediate) {
-  EventQueue q;
-  Network net(&q, Millis(5));
+  ParallelEngine engine(1);
+  Network net(&engine, Millis(5));
   EXPECT_EQ(net.Latency(2, 2), 0);
 }
 
 TEST(NetworkTest, CountsTraffic) {
-  EventQueue q;
-  Network net(&q, Millis(1));
+  ParallelEngine engine(1);
+  EventQueue& q = *engine.queue(0);
+  Network net(&engine, Millis(1));
   net.Send(0, 1, 100, [] {});
   net.Send(0, 1, 150, [] {});
   q.RunAll();
@@ -112,8 +117,8 @@ TEST(NetworkTest, CountsTraffic) {
 TEST(NetworkTest, LatencyMatrixGrowsWithNodeIds) {
   // The dense matrix grows on demand and keeps earlier overrides; ids
   // beyond any override still resolve to the default.
-  EventQueue q;
-  Network net(&q, Millis(5));
+  ParallelEngine engine(1);
+  Network net(&engine, Millis(5));
   net.SetLatency(0, 1, Millis(11));
   net.SetLatency(40, 90, Millis(70));  // forces regrowth
   EXPECT_EQ(net.Latency(0, 1), Millis(11));
@@ -123,23 +128,23 @@ TEST(NetworkTest, LatencyMatrixGrowsWithNodeIds) {
 }
 
 TEST(NetworkTest, SourcePseudoNodeLatency) {
-  EventQueue q;
-  Network net(&q, Millis(5));
+  ParallelEngine engine(1);
+  Network net(&engine, Millis(5));
   net.SetLatency(kInvalidId, 2, Millis(9));
   EXPECT_EQ(net.Latency(kInvalidId, 2), Millis(9));
   EXPECT_EQ(net.Latency(kInvalidId, 3), Millis(5));
 }
 
 TEST(NetworkTest, UnshardedSettersApplyImmediately) {
-  EventQueue q;
-  Network net(&q, Millis(5));
+  ParallelEngine engine(1);
+  Network net(&engine, Millis(5));
   EXPECT_TRUE(net.SetLatency(0, 1, Millis(20)).ok());
   EXPECT_EQ(net.Latency(0, 1), Millis(20));
 }
 
 TEST(NetworkTest, MutationQueueAppliesInFifoOrder) {
-  EventQueue q;
-  Network net(&q, Millis(5));
+  ParallelEngine engine(1);
+  Network net(&engine, Millis(5));
   net.QueueSetLatency(0, 1, Millis(20));
   net.QueueSetLatency(0, 1, Millis(30));  // later edit wins
   EXPECT_TRUE(net.has_queued_mutations());
@@ -151,8 +156,8 @@ TEST(NetworkTest, MutationQueueAppliesInFifoOrder) {
 }
 
 TEST(NetworkTest, QueuedMutationGrowsMatrixIncrementally) {
-  EventQueue q;
-  Network net(&q, Millis(5));
+  ParallelEngine engine(1);
+  Network net(&engine, Millis(5));
   net.SetLatency(0, 1, Millis(11));
   net.QueueSetLatency(80, 120, Millis(70));  // forces regrowth on apply
   net.ApplyQueuedMutations();
@@ -162,8 +167,8 @@ TEST(NetworkTest, QueuedMutationGrowsMatrixIncrementally) {
 }
 
 TEST(NetworkTest, MinCrossShardLatency) {
-  EventQueue q;
-  Network net(&q, Millis(50));
+  ParallelEngine engine(1);
+  Network net(&engine, Millis(50));
   net.SetLatency(0, 1, Millis(5));   // same shard: must not count
   net.SetLatency(2, 3, Millis(20));  // cross shard
   std::vector<int> shard_of_node = {0, 0, 0, 1};
@@ -173,17 +178,93 @@ TEST(NetworkTest, MinCrossShardLatency) {
   // An overridden link that crosses shards caps the lookahead.
   EXPECT_EQ(net.MinCrossShardLatency({0, 1}), Millis(5));
   // Unlisted cross-shard pairs fall back to the default latency.
-  Network fresh(&q, Millis(50));
+  Network fresh(&engine, Millis(50));
   EXPECT_EQ(fresh.MinCrossShardLatency({0, 1}), Millis(50));
 }
 
-TEST(ShardPlanTest, ShardOfDefaultsToZero) {
-  ShardPlan plan;
-  plan.shard_of_node = {0, 1, 1};
-  EXPECT_EQ(plan.ShardOf(0), 0);
-  EXPECT_EQ(plan.ShardOf(2), 1);
-  EXPECT_EQ(plan.ShardOf(kInvalidId), 0);
-  EXPECT_EQ(plan.ShardOf(99), 0);
+TEST(NetworkTest, ShardOfDefaultsToZero) {
+  ParallelEngine engine(2);
+  Network net(&engine);
+  net.SetShardMap({0, 1, 1});
+  EXPECT_EQ(net.ShardOf(0), 0);
+  EXPECT_EQ(net.ShardOf(2), 1);
+  EXPECT_EQ(net.ShardOf(kInvalidId), 0);
+  EXPECT_EQ(net.ShardOf(99), 0);
+}
+
+// Owner of a Timer: counts fires, and optionally re-arms from the callback.
+class Ticker {
+ public:
+  Ticker(EventQueue* queue, SimDuration period = 0)
+      : timer(this, queue), period_(period) {}
+
+  void Fire() {
+    fired_at.push_back(timer.queue()->now());
+    if (period_ > 0) timer.Arm(timer.queue()->now() + period_);
+  }
+
+  Timer<Ticker, &Ticker::Fire> timer;
+  std::vector<SimTime> fired_at;
+
+ private:
+  SimDuration period_;
+};
+
+TEST(TimerTest, MoveToFiresAtTheDeadlineOnTheNewQueue) {
+  ParallelEngine engine(2);
+  Ticker t(engine.queue(0));
+  t.timer.Arm(Millis(30));
+  engine.RunUntil(Millis(10));
+  t.timer.MoveTo(engine.queue(1));
+  EXPECT_TRUE(t.timer.armed());
+  EXPECT_EQ(t.timer.queue(), engine.queue(1));
+  engine.RunUntil(Millis(100));
+  EXPECT_EQ(t.fired_at, (std::vector<SimTime>{Millis(30)}));
+  EXPECT_FALSE(t.timer.armed());
+  // The event left on the old queue ran as a counted no-op.
+  EXPECT_EQ(engine.queue(0)->executed(), 1u);
+  EXPECT_EQ(engine.queue(1)->executed(), 1u);
+}
+
+TEST(TimerTest, CancelThenMoveToSchedulesNothing) {
+  ParallelEngine engine(2);
+  Ticker t(engine.queue(0));
+  t.timer.Arm(Millis(30));
+  t.timer.Cancel();
+  EXPECT_FALSE(t.timer.armed());
+  t.timer.MoveTo(engine.queue(1));
+  EXPECT_EQ(engine.queue(1)->pending(), 0u);
+  engine.RunUntil(Millis(100));
+  EXPECT_TRUE(t.fired_at.empty());
+  EXPECT_EQ(engine.queue(0)->executed(), 1u);  // the cancelled event
+  EXPECT_EQ(engine.queue(1)->executed(), 0u);
+}
+
+TEST(TimerTest, FireCallbackCanReArm) {
+  ParallelEngine engine(2);
+  Ticker t(engine.queue(0), Millis(10));
+  t.timer.Arm(Millis(10));
+  engine.RunUntil(Millis(35));
+  EXPECT_EQ(t.fired_at,
+            (std::vector<SimTime>{Millis(10), Millis(20), Millis(30)}));
+  EXPECT_TRUE(t.timer.armed());
+  // The chain keeps its phase across a move.
+  t.timer.MoveTo(engine.queue(1));
+  engine.RunUntil(Millis(55));
+  EXPECT_EQ(t.fired_at, (std::vector<SimTime>{Millis(10), Millis(20),
+                                              Millis(30), Millis(40),
+                                              Millis(50)}));
+}
+
+TEST(TimerTest, MoveToTheSameQueueIsANoOp) {
+  ParallelEngine engine(2);
+  Ticker t(engine.queue(0));
+  t.timer.Arm(Millis(30));
+  t.timer.MoveTo(engine.queue(0));
+  EXPECT_EQ(engine.queue(0)->pending(), 1u);
+  engine.RunUntil(Millis(100));
+  EXPECT_EQ(t.fired_at, (std::vector<SimTime>{Millis(30)}));
+  EXPECT_EQ(engine.queue(0)->executed(), 1u);
 }
 
 }  // namespace
