@@ -23,11 +23,15 @@ measurement than the --quick smoke.
 
 --max-metric-ratio gates a within-results ratio over the *simulated-domain*
 metrics a bench attached via PerfRecorder::AddMetric (the `"metrics"`
-object on a run): CONFIG_A's METRIC must be at most RATIO times
-CONFIG_B's. Unlike throughput these values are deterministic, so the gate
-is exact. CI uses it to pin that SIC-aware orphan re-placement recovers no
-slower than the round-robin cursor
-(bench_recovery:sic-aware:round-robin:mean_censored_ttr_ms:1.0).
+object on a run) and the run's own deterministic counts (`allocations`,
+`allocs_per_tuple`, `tuples_processed`): CONFIG_A's METRIC must be at most
+RATIO times CONFIG_B's. Unlike throughput these values are deterministic,
+so the gate is exact. CI uses it to pin that SIC-aware orphan re-placement
+recovers no slower than the round-robin cursor
+(bench_recovery:sic-aware:round-robin:mean_censored_ttr_ms:1.0) and that
+250 ms checkpoint capture allocates at most 1.5x per tuple what the
+capture-off run does
+(bench_checkpoint_recovery:ckpt/250ms:reset:allocs_per_tuple:1.5).
 
 A bench present in the baseline but absent from the results entirely (no
 runs at all — the binary crashed, was skipped, or stopped emitting JSON) is
@@ -80,16 +84,27 @@ def load_wall_tps(path):
     }
 
 
+# Run fields that repeat exactly for a given binary and seed (allocation
+# counts are present when the bench links the counting allocator).
+DETERMINISTIC_RUN_FIELDS = ("allocations", "allocs_per_tuple",
+                            "tuples_processed")
+
+
 def load_metrics(path):
-    """Returns {(bench, config, metric): value} from runs' `metrics`."""
+    """Returns {(bench, config, metric): value} from runs' `metrics` and
+    their deterministic top-level counts."""
     with open(path, encoding="utf-8") as f:
         entries = json.load(f)
-    return {
-        (entry["bench"], run["config"], name): value
-        for entry in entries
-        for run in entry.get("runs", [])
-        for name, value in run.get("metrics", {}).items()
-    }
+    metrics = {}
+    for entry in entries:
+        for run in entry.get("runs", []):
+            key = (entry["bench"], run["config"])
+            for name in DETERMINISTIC_RUN_FIELDS:
+                if name in run:
+                    metrics[key + (name,)] = run[name]
+            for name, value in run.get("metrics", {}).items():
+                metrics[key + (name,)] = value
+    return metrics
 
 
 def check_metric_ratios(results_path, specs):
@@ -115,13 +130,13 @@ def check_metric_ratios(results_path, specs):
             continue
         a, b = metrics[key_a], metrics[key_b]
         ok = a <= max_ratio * b
-        print(f"metric {bench} {metric}: {config_a}={a:.3f} vs "
-              f"{config_b}={b:.3f} (need <= {max_ratio:.2f}x) "
+        print(f"metric {bench} {metric}: {config_a}={a:.4g} vs "
+              f"{config_b}={b:.4g} (need <= {max_ratio:.2f}x) "
               f"{'OK' if ok else 'FAIL'}")
         if not ok:
             failures.append(
-                f"{bench}: {metric} of {config_a} ({a:.3f}) exceeds "
-                f"{max_ratio:.2f}x of {config_b} ({b:.3f})")
+                f"{bench}: {metric} of {config_a} ({a:.4g}) exceeds "
+                f"{max_ratio:.2f}x of {config_b} ({b:.4g})")
     return failures
 
 

@@ -1,5 +1,7 @@
 #include "runtime/checkpoint.h"
 
+#include <algorithm>
+
 #include "runtime/operator.h"
 
 namespace themis {
@@ -11,19 +13,47 @@ namespace {
 // the union bytes beyond a 4-byte string id), so a raw 16-byte memcpy
 // image would differ after a restore + re-capture round trip even though
 // the value is identical; the canonical form makes images byte-stable.
-void PutValue(CheckpointWriter* w, const Value& v) {
-  w->PutU8(static_cast<uint8_t>(v.kind()));
-  switch (v.kind()) {
-    case Value::Kind::kInt64:
-      w->PutI64(v.int_value());
-      break;
-    case Value::Kind::kDouble:
-      w->PutDouble(v.double_value());
-      break;
-    case Value::Kind::kString:
-      w->PutU32(v.string_id());
-      break;
+//
+// Encoded sizes: a tuple is timestamp, sic and a u32 value count; a value
+// its kind tag and its active member.
+constexpr size_t kTupleHeaderBytes = 8 + 8 + 4;
+constexpr size_t kStringValueBytes = 1 + 4;
+constexpr size_t kScalarValueBytes = 1 + 8;
+
+size_t EncodedSize(const Tuple& t) {
+  size_t n = kTupleHeaderBytes;
+  for (const Value& v : t.values) {
+    n += v.is_string() ? kStringValueBytes : kScalarValueBytes;
   }
+  return n;
+}
+
+template <typename T>
+uint8_t* PutAt(uint8_t* p, T v) {
+  std::memcpy(p, &v, sizeof(T));
+  return p + sizeof(T);
+}
+
+// Writes `t` at `p`, which must have EncodedSize(t) bytes; returns the end.
+uint8_t* Encode(uint8_t* p, const Tuple& t) {
+  p = PutAt<int64_t>(p, t.timestamp);
+  p = PutAt<double>(p, t.sic);
+  p = PutAt<uint32_t>(p, static_cast<uint32_t>(t.values.size()));
+  for (const Value& v : t.values) {
+    p = PutAt<uint8_t>(p, static_cast<uint8_t>(v.kind()));
+    switch (v.kind()) {
+      case Value::Kind::kInt64:
+        p = PutAt<int64_t>(p, v.int_value());
+        break;
+      case Value::Kind::kDouble:
+        p = PutAt<double>(p, v.double_value());
+        break;
+      case Value::Kind::kString:
+        p = PutAt<uint32_t>(p, v.string_id());
+        break;
+    }
+  }
+  return p;
 }
 
 Value GetValue(CheckpointReader* r) {
@@ -41,15 +71,14 @@ Value GetValue(CheckpointReader* r) {
 }  // namespace
 
 void CheckpointWriter::PutTuple(const Tuple& t) {
-  PutI64(t.timestamp);
-  PutDouble(t.sic);
-  PutU32(static_cast<uint32_t>(t.values.size()));
-  for (size_t i = 0; i < t.values.size(); ++i) PutValue(this, t.values[i]);
+  Encode(Extend(EncodedSize(t)), t);
 }
 
 void CheckpointWriter::PutTuples(const std::vector<Tuple>& tuples) {
-  PutU32(static_cast<uint32_t>(tuples.size()));
-  for (const Tuple& t : tuples) PutTuple(t);
+  size_t n = sizeof(uint32_t);
+  for (const Tuple& t : tuples) n += EncodedSize(t);
+  uint8_t* p = PutAt<uint32_t>(Extend(n), static_cast<uint32_t>(tuples.size()));
+  for (const Tuple& t : tuples) p = Encode(p, t);
 }
 
 Tuple CheckpointReader::GetTuple() {
@@ -57,8 +86,8 @@ Tuple CheckpointReader::GetTuple() {
   t.timestamp = GetI64();
   t.sic = GetDouble();
   uint32_t n = GetU32();
-  t.values.reserve(n);
-  for (uint32_t i = 0; i < n; ++i) {
+  t.values.reserve(std::min<size_t>(n, remaining() / kStringValueBytes));
+  for (uint32_t i = 0; i < n && ok_; ++i) {
     t.values.push_back(GetValue(this));
   }
   return t;
@@ -67,7 +96,7 @@ Tuple CheckpointReader::GetTuple() {
 void CheckpointReader::GetTuples(std::vector<Tuple>* out) {
   uint32_t n = GetU32();
   out->clear();
-  out->reserve(n);
+  out->reserve(std::min<size_t>(n, remaining() / kTupleHeaderBytes));
   for (uint32_t i = 0; i < n && ok_; ++i) {
     out->push_back(GetTuple());
   }
@@ -75,17 +104,21 @@ void CheckpointReader::GetTuples(std::vector<Tuple>* out) {
 
 bool MaybeCheckpointOperator(Operator* op, QueryId q, SimTime now,
                              double error_bound, CheckpointStore* store) {
+  CheckpointStore::Entry& e = store->Slot(q, op->id());
   // An existing image within the divergence bound stays; the extra state
   // lost on restore is at most the un-captured dirt. A first image is
   // always taken so a restore never has to guess at initial state.
-  if (op->checkpoint_dirt() <= error_bound &&
-      store->Find(q, op->id()) != nullptr) {
+  if (op->checkpoint_dirt() <= error_bound && e.present) {
     store->mutable_stats()->skipped_clean += 1;
     return false;
   }
-  CheckpointWriter w;
-  op->Checkpoint(&w);
-  store->Put(q, op->id(), w.Take(), now);
+  {
+    CheckpointWriter w(&e.bytes);
+    op->Checkpoint(&w);
+  }
+  // A buffer that held a much larger image gives the slack back.
+  if (e.bytes.capacity() > 2 * e.bytes.size()) e.bytes.shrink_to_fit();
+  store->Commit(&e, now);
   op->clear_checkpoint_dirt();
   return true;
 }

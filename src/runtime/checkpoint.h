@@ -26,7 +26,6 @@
 
 #include <cstdint>
 #include <cstring>
-#include <map>
 #include <utility>
 #include <vector>
 
@@ -46,30 +45,55 @@ class Operator;
 /// bytes, so raw 16-byte images would not survive a restore + re-capture
 /// byte-identically). Images never leave the process, so no endianness or
 /// versioning concerns apply.
+///
+/// A writer either fills its own buffer (Take() hands it out) or rewrites a
+/// caller's buffer in place, keeping its capacity: re-capturing an image no
+/// larger than the last one allocates nothing. A run of tuples is sized once
+/// and encoded with memcpy into one extension of the buffer.
 class CheckpointWriter {
  public:
+  CheckpointWriter() : buf_(&own_) {}
+  /// Clears `*out` and appends to it; `out` must outlive the writer.
+  explicit CheckpointWriter(std::vector<uint8_t>* out) : buf_(out) {
+    buf_->clear();
+  }
+  CheckpointWriter(const CheckpointWriter&) = delete;
+  CheckpointWriter& operator=(const CheckpointWriter&) = delete;
+
   void PutU8(uint8_t v) { PutRaw(&v, sizeof(v)); }
   void PutU32(uint32_t v) { PutRaw(&v, sizeof(v)); }
   void PutU64(uint64_t v) { PutRaw(&v, sizeof(v)); }
   void PutI64(int64_t v) { PutRaw(&v, sizeof(v)); }
   void PutDouble(double v) { PutRaw(&v, sizeof(v)); }
-  void PutRaw(const void* p, size_t n) {
-    const uint8_t* b = static_cast<const uint8_t*>(p);
-    buf_.insert(buf_.end(), b, b + n);
-  }
+  void PutRaw(const void* p, size_t n) { std::memcpy(Extend(n), p, n); }
   void PutTuple(const Tuple& t);
+  /// A u32 count, then each tuple as PutTuple writes it.
   void PutTuples(const std::vector<Tuple>& tuples);
 
-  const std::vector<uint8_t>& bytes() const { return buf_; }
-  std::vector<uint8_t> Take() { return std::move(buf_); }
+  const std::vector<uint8_t>& bytes() const { return *buf_; }
+  std::vector<uint8_t> Take() { return std::move(*buf_); }
 
  private:
-  std::vector<uint8_t> buf_;
+  /// Grows the buffer by `n` bytes and returns where they start. A buffer
+  /// that must grow gets half again what is needed: a tuple run is sized
+  /// exactly, and doubling on the small write after it would leave the
+  /// image's buffer at twice the image.
+  uint8_t* Extend(size_t n) {
+    size_t at = buf_->size();
+    if (at + n > buf_->capacity()) buf_->reserve((at + n) * 3 / 2);
+    buf_->resize(at + n);
+    return buf_->data() + at;
+  }
+
+  std::vector<uint8_t> own_;
+  std::vector<uint8_t>* buf_;
 };
 
 /// \brief Cursor over a checkpoint image. Overruns set ok() to false and
 /// return zero values instead of reading past the end, so a malformed
-/// image degrades to empty state rather than undefined behaviour.
+/// image degrades to empty state rather than undefined behaviour. Counts
+/// read from the image are never trusted for allocation: a reserve is
+/// clamped to what the remaining bytes can encode.
 class CheckpointReader {
  public:
   explicit CheckpointReader(const std::vector<uint8_t>& bytes)
@@ -87,10 +111,12 @@ class CheckpointReader {
   bool ok() const { return ok_; }
 
  private:
+  size_t remaining() const { return static_cast<size_t>(end_ - p_); }
+
   template <typename T>
   T Get() {
     T v{};
-    if (static_cast<size_t>(end_ - p_) < sizeof(T)) {
+    if (remaining() < sizeof(T)) {
       ok_ = false;
       p_ = end_;
       return v;
@@ -121,12 +147,17 @@ struct CheckpointConfig {
   double error_bound = 0.0;
 };
 
-/// \brief Per-node map of the latest image per (query, operator).
+/// \brief Per-node table of the latest image per (query, operator).
+///
+/// Dense: indexed by QueryId, then OperatorId (both count up from 0 within
+/// their scope), so the capture sweep reaches an operator's image with one
+/// index per level. A slot keeps its byte buffer between captures.
 class CheckpointStore {
  public:
   struct Entry {
     std::vector<uint8_t> bytes;
     SimTime taken_at = 0;
+    bool present = false;  ///< holds an image (else never taken, moved away)
   };
   /// Capture/restore counters, exported as `infra.ckpt.*` telemetry.
   struct Stats {
@@ -138,39 +169,68 @@ class CheckpointStore {
   };
 
   void Put(QueryId q, OperatorId op, std::vector<uint8_t> bytes, SimTime now) {
-    Entry& e = entries_[Key(q, op)];
-    stats_.bytes_written += bytes.size();
-    stats_.taken += 1;
+    Entry& e = Slot(q, op);
     e.bytes = std::move(bytes);
-    e.taken_at = now;
+    Commit(&e, now);
   }
 
   const Entry* Find(QueryId q, OperatorId op) const {
-    auto it = entries_.find(Key(q, op));
-    return it == entries_.end() ? nullptr : &it->second;
+    if (static_cast<size_t>(q) >= table_.size()) return nullptr;
+    const std::vector<Entry>& row = table_[q];
+    if (static_cast<size_t>(op) >= row.size()) return nullptr;
+    return row[op].present ? &row[op] : nullptr;
+  }
+
+  /// The slot of (q, op), grown into the table on first use (absent until
+  /// Commit). A capture rewrites `bytes` in place, then commits.
+  Entry& Slot(QueryId q, OperatorId op) {
+    if (static_cast<size_t>(q) >= table_.size()) {
+      table_.resize(static_cast<size_t>(q) + 1);
+    }
+    std::vector<Entry>& row = table_[q];
+    if (static_cast<size_t>(op) >= row.size()) {
+      row.resize(static_cast<size_t>(op) + 1);
+    }
+    return row[op];
+  }
+  /// Marks `e` (a Slot) as holding the image in its `bytes`, taken at `now`.
+  void Commit(Entry* e, SimTime now) {
+    e->present = true;
+    e->taken_at = now;
+    stats_.bytes_written += e->bytes.size();
+    stats_.taken += 1;
   }
 
   /// Hands operator `op`'s image over to `dst` (fragment re-placement moves
   /// the backup with the fragment). No-op when there is none.
   void MoveEntry(QueryId q, OperatorId op, CheckpointStore* dst) {
-    auto it = entries_.find(Key(q, op));
-    if (it == entries_.end()) return;
-    dst->entries_[it->first] = std::move(it->second);
-    entries_.erase(it);
+    if (Find(q, op) == nullptr) return;
+    dst->Slot(q, op) = std::move(table_[q][op]);
+    table_[q][op] = Entry{};
   }
 
   /// Drops every image of query `q` (undeploy).
   void EraseQuery(QueryId q) {
-    entries_.erase(entries_.lower_bound(Key(q, 0)),
-                   entries_.upper_bound(Key(q, INT32_MAX)));
+    if (static_cast<size_t>(q) < table_.size()) {
+      table_[q] = std::vector<Entry>();
+    }
   }
 
-  void Clear() { entries_.clear(); }
-  size_t size() const { return entries_.size(); }
+  void Clear() { table_.clear(); }
+  /// Images currently held.
+  size_t size() const {
+    size_t n = 0;
+    for (const std::vector<Entry>& row : table_) {
+      for (const Entry& e : row) n += e.present ? 1 : 0;
+    }
+    return n;
+  }
   /// Bytes currently resident across all images.
   size_t resident_bytes() const {
     size_t n = 0;
-    for (const auto& [k, e] : entries_) n += e.bytes.size();
+    for (const std::vector<Entry>& row : table_) {
+      for (const Entry& e : row) n += e.present ? e.bytes.size() : 0;
+    }
     return n;
   }
 
@@ -178,17 +238,15 @@ class CheckpointStore {
   Stats* mutable_stats() { return &stats_; }
 
  private:
-  static std::pair<QueryId, OperatorId> Key(QueryId q, OperatorId op) {
-    return {q, op};
-  }
-
-  std::map<std::pair<QueryId, OperatorId>, Entry> entries_;
+  std::vector<std::vector<Entry>> table_;  // [QueryId][OperatorId]
   Stats stats_;
 };
 
 /// Captures `op` into `store` unless its dirt is within `error_bound` of
 /// the existing image (approximate mode; a first image is always taken).
-/// Returns true when an image was (re)written. Does zero simulated work.
+/// The image is rewritten into the slot's own buffer, which keeps its
+/// capacity unless that exceeds twice the new image. Returns true when an
+/// image was (re)written. Does zero simulated work.
 bool MaybeCheckpointOperator(Operator* op, QueryId q, SimTime now,
                              double error_bound, CheckpointStore* store);
 

@@ -192,7 +192,9 @@ std::vector<size_t> BalanceSicShedder::SelectBatchesToKeep(
     st.batches.assign(flattened_.begin(), flattened_.end());
   }
 
+  // At most every buffered batch is kept: one allocation per call.
   std::vector<size_t> keep;
+  keep.reserve(ib.size());
   size_t remaining = ctx.capacity_tuples;
 
   // Sorted copy of every state's projected SIC, maintained as projections

@@ -15,9 +15,9 @@ SourceDriver::SourceDriver(SourceId source, QueryId query, OperatorId target_op,
       target_port_(target_port),
       model_(model),
       timer_(this, queue),
-      rng_(rng),
       deliver_(std::move(deliver)),
-      pool_(pool) {
+      pool_(pool),
+      rng_(rng) {
   if (!model_.payload) {
     value_gen_ = ValueGenerator::Make(model_.dataset, rng_.Fork(), model_.mean);
   }

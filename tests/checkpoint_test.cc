@@ -2,16 +2,22 @@
 // round-trips of window state (tumbling, sliding, count), binary pending
 // panes, pass-through buffers and cross-pane scalars; mid-pane aggregate
 // (all five kinds) and filter images restored over operators that hold other
-// state; and the store semantics the federation relies on (approximate
+// state; the store semantics the federation relies on (approximate
 // skip-if-clean, restore-or-reset, image hand-over, undeploy erasure,
-// truncated-image degradation).
+// truncated-image degradation) and its allocation-free re-capture; the
+// tuple image format against a field-by-field reference encoder; and the
+// reader against corrupted count fields and seeded image mutations.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstring>
+#include <memory>
 #include <ostream>
+#include <string>
 #include <vector>
 
+#include "common/alloc_counter.h"
+#include "common/rng.h"
 #include "runtime/checkpoint.h"
 #include "runtime/operator.h"
 #include "runtime/operators/aggregates.h"
@@ -388,6 +394,380 @@ TEST(CheckpointStoreTest, TruncatedImageDegradesToEmptyState) {
   CheckpointReader r(image);
   b.RestoreFrom(&r);  // must not crash or read past the end
   EXPECT_FALSE(r.ok());
+}
+
+TEST(CheckpointStoreTest, DenseTableFindsOnlyTakenImages) {
+  CheckpointStore store, other;
+  store.Put(300, 7, {1, 2}, Millis(1));
+  store.Put(2, 0, {}, Millis(2));  // an empty image is still an image
+  EXPECT_EQ(store.size(), 2u);
+  ASSERT_NE(store.Find(300, 7), nullptr);
+  EXPECT_EQ(store.Find(300, 6), nullptr);  // slot grown, never taken
+  EXPECT_EQ(store.Find(299, 7), nullptr);
+  EXPECT_EQ(store.Find(301, 0), nullptr);
+  ASSERT_NE(store.Find(2, 0), nullptr);
+  EXPECT_EQ(store.Find(2, 0)->taken_at, Millis(2));
+
+  // Re-putting an image replaces it without counting a second one.
+  store.Put(300, 7, {9}, Millis(3));
+  EXPECT_EQ(store.size(), 2u);
+  EXPECT_EQ(store.resident_bytes(), 1u);
+
+  // Moving onto an image the destination already holds replaces that one.
+  other.Put(300, 7, {4, 4, 4}, Millis(1));
+  store.MoveEntry(300, 7, &other);
+  EXPECT_EQ(store.size(), 1u);
+  EXPECT_EQ(store.Find(300, 7), nullptr);
+  EXPECT_EQ(other.size(), 1u);
+  EXPECT_EQ(other.Find(300, 7)->taken_at, Millis(3));
+  EXPECT_EQ(other.resident_bytes(), 1u);
+
+  store.EraseQuery(2);
+  store.EraseQuery(5000);  // beyond the table: no-op
+  EXPECT_EQ(store.size(), 0u);
+  EXPECT_EQ(store.stats().taken, 3u);
+}
+
+// Same rows, one pane later, so every image after the first has the same
+// size: the capture rewrites the slot's buffer and allocates nothing.
+TEST(CheckpointStoreTest, RecaptureOfUngrownStateAllocatesNothing) {
+  ForceLinkAllocCounter();
+  ASSERT_TRUE(AllocCounter::active());
+  CheckpointStore store;
+  AggregateOp op(AggregateKind::kAvg, 0, WindowSpec::TumblingTime(kSecond));
+  op.set_id(2);
+  for (int pane = 0; pane < 4; ++pane) {
+    std::vector<Tuple> rows;
+    for (int i = 0; i < 30; ++i) {
+      rows.push_back(T1(pane * kSecond + i * Millis(30), Wobble(i), 0.01));
+    }
+    op.Ingest(rows, 0);
+    const uint64_t before = AllocCounter::allocations();
+    ASSERT_TRUE(MaybeCheckpointOperator(&op, 5, pane * kSecond, 0.0, &store));
+    const uint64_t allocs = AllocCounter::allocations() - before;
+    const std::vector<uint8_t>& bytes = store.Find(5, 2)->bytes;
+    if (pane == 0) {
+      // The buffer grew by half again what the tuple run needed, so the
+      // window's trailing fields fit without doubling it.
+      EXPECT_LE(2 * bytes.capacity(), 3 * bytes.size());
+    } else {
+      EXPECT_EQ(allocs, 0u) << "capture " << pane;
+    }
+    EXPECT_EQ(bytes, Image(op)) << "capture " << pane;
+    Advance(op, (pane + 1) * kSecond);  // release the pane
+  }
+  EXPECT_EQ(store.stats().taken, 4u);
+}
+
+TEST(CheckpointStoreTest, SlotBufferKeepsAtMostTwiceItsImage) {
+  CheckpointStore store;
+  PassThroughOperator op("union");
+  op.set_id(0);
+  auto capture = [&](int lo, int hi) -> const std::vector<uint8_t>& {
+    std::vector<Tuple> drained;
+    op.Advance(0, &drained);  // pass-through state empties on Advance
+    op.Ingest(MakeRows(lo, hi), 0);
+    EXPECT_TRUE(MaybeCheckpointOperator(&op, 1, 0, 0.0, &store));
+    const std::vector<uint8_t>& bytes = store.Find(1, 0)->bytes;
+    EXPECT_EQ(bytes, Image(op));
+    return bytes;
+  };
+  const std::vector<uint8_t>& big = capture(0, 200);
+  const uint8_t* buffer = big.data();
+  const size_t capacity = big.capacity();
+  // Four fifths of the image: rewritten in the same buffer.
+  const std::vector<uint8_t>& four_fifths = capture(0, 160);
+  EXPECT_EQ(four_fifths.data(), buffer);
+  EXPECT_EQ(four_fifths.capacity(), capacity);
+  // A twentieth: the slack beyond twice the image is given back.
+  const std::vector<uint8_t>& small = capture(0, 10);
+  EXPECT_LE(small.capacity(), 2 * small.size());
+  EXPECT_EQ(store.stats().taken, 3u);
+}
+
+// --- image format ---------------------------------------------------------
+
+// Field-by-field reference for the tuple image format: a u32 count, then per
+// tuple its i64 timestamp, f64 sic, u32 value count and, per value, a u8 kind
+// tag followed by the active member (i64, f64 or u32 string id).
+struct ReferenceEncoder {
+  template <typename T>
+  void Put(T v) {
+    uint8_t b[sizeof(T)] = {};
+    std::memcpy(b, &v, sizeof(T));
+    for (uint8_t byte : b) bytes.push_back(byte);
+  }
+  void PutTuple(const Tuple& t) {
+    Put<int64_t>(t.timestamp);
+    Put<double>(t.sic);
+    Put<uint32_t>(static_cast<uint32_t>(t.values.size()));
+    for (const Value& v : t.values) {
+      Put<uint8_t>(static_cast<uint8_t>(v.kind()));
+      if (v.is_int()) Put<int64_t>(v.int_value());
+      if (v.is_double()) Put<double>(v.double_value());
+      if (v.is_string()) Put<uint32_t>(v.string_id());
+    }
+  }
+  void PutTuples(const std::vector<Tuple>& tuples) {
+    Put<uint32_t>(static_cast<uint32_t>(tuples.size()));
+    for (const Tuple& t : tuples) PutTuple(t);
+  }
+  std::vector<uint8_t> bytes;
+};
+
+Value RandomValue(Rng* rng) {
+  switch (rng->UniformInt(0, 2)) {
+    case 0:
+      return Value(rng->UniformInt(INT64_MIN, INT64_MAX));
+    case 1:
+      return Value(Wobble(static_cast<int>(rng->UniformInt(0, 1000))));
+    default:
+      return Value("key-" + std::to_string(rng->UniformInt(0, 50)));
+  }
+}
+
+// Up to 9 values: payloads past the 4-value inline capacity spill.
+std::vector<Tuple> RandomTuples(Rng* rng, int n) {
+  std::vector<Tuple> tuples;
+  for (int i = 0; i < n; ++i) {
+    Tuple t;
+    t.timestamp = rng->UniformInt(-kSecond, 100 * kSecond);
+    t.sic = rng->NextDouble();
+    for (int64_t k = rng->UniformInt(0, 9); k > 0; --k) {
+      t.values.push_back(RandomValue(rng));
+    }
+    tuples.push_back(std::move(t));
+  }
+  return tuples;
+}
+
+TEST(CheckpointWriterTest, TupleRunsMatchAFieldByFieldEncoder) {
+  Rng rng(4242);
+  bool spilled = false;
+  for (int run = 0; run < 50; ++run) {
+    std::vector<Tuple> tuples =
+        RandomTuples(&rng, static_cast<int>(rng.UniformInt(0, 40)));
+    for (const Tuple& t : tuples) spilled |= t.values.spilled();
+    ReferenceEncoder ref;
+    ref.PutTuples(tuples);
+
+    CheckpointWriter bulk;
+    bulk.PutTuples(tuples);
+    EXPECT_EQ(bulk.bytes(), ref.bytes) << "run " << run;
+
+    // One tuple at a time, after a count, into a reused buffer with junk.
+    std::vector<uint8_t> reused(3 * ref.bytes.size() + 1, 0xAB);
+    const size_t capacity = reused.capacity();
+    {
+      CheckpointWriter w(&reused);
+      w.PutU32(static_cast<uint32_t>(tuples.size()));
+      for (const Tuple& t : tuples) w.PutTuple(t);
+    }
+    EXPECT_EQ(reused, ref.bytes) << "run " << run;
+    EXPECT_EQ(reused.capacity(), capacity);
+
+    // And back: the reader returns the same tuples, bit for bit.
+    CheckpointReader r(ref.bytes);
+    std::vector<Tuple> back;
+    r.GetTuples(&back);
+    EXPECT_TRUE(r.ok());
+    EXPECT_TRUE(r.AtEnd());
+    ExpectBitIdentical(back, tuples);
+  }
+  EXPECT_TRUE(spilled);
+}
+
+// --- corrupted images -----------------------------------------------------
+
+uint32_t U32At(const std::vector<uint8_t>& image, size_t at) {
+  uint32_t v = 0;
+  std::memcpy(&v, image.data() + at, sizeof(v));
+  return v;
+}
+
+void StampU32(std::vector<uint8_t>* image, size_t at, uint32_t v) {
+  std::memcpy(image->data() + at, &v, sizeof(v));
+}
+
+// An AggregateOp image starts with its format tag (u8), the window's
+// release watermark (i64) and open-pane count (u32); the first open pane
+// follows as index, start, end (i64 each) and its tuple run, whose first
+// tuple's value count sits after that tuple's timestamp and sic.
+constexpr size_t kFirstPaneTupleCount = 1 + 8 + 4 + 3 * 8;
+constexpr size_t kFirstTupleValueCount = kFirstPaneTupleCount + 4 + 8 + 8;
+
+// Restores `image` into a fresh AVG operator; the read must fail cleanly,
+// and the allocation must stay proportional to the image, not to the count.
+void ExpectCorruptImageFailsCheaply(const std::vector<uint8_t>& image) {
+  ForceLinkAllocCounter();
+  ASSERT_TRUE(AllocCounter::active());
+  AggregateOp b(AggregateKind::kAvg, 0, WindowSpec::TumblingTime(kSecond));
+  CheckpointReader r(image);
+  const uint64_t before = AllocCounter::bytes_allocated();
+  EXPECT_NO_THROW(b.RestoreFrom(&r));
+  const uint64_t allocated = AllocCounter::bytes_allocated() - before;
+  EXPECT_FALSE(r.ok());
+  EXPECT_LT(allocated, 64 * image.size());
+}
+
+class CorruptCountTest : public ::testing::TestWithParam<uint32_t> {
+ protected:
+  std::vector<uint8_t> MidPaneImage() {
+    AggregateOp a(AggregateKind::kAvg, 0, WindowSpec::TumblingTime(kSecond));
+    a.Ingest(MakeRows(0, 20), 0);  // one open pane of 20 one-value tuples
+    std::vector<uint8_t> image = Image(a);
+    EXPECT_EQ(U32At(image, kFirstPaneTupleCount), 20u);
+    EXPECT_EQ(U32At(image, kFirstTupleValueCount), 1u);
+    return image;
+  }
+};
+
+TEST_P(CorruptCountTest, TupleCountIsClampedToTheImage) {
+  std::vector<uint8_t> image = MidPaneImage();
+  StampU32(&image, kFirstPaneTupleCount, GetParam());
+  ExpectCorruptImageFailsCheaply(image);
+}
+
+TEST_P(CorruptCountTest, ValueCountIsClampedToTheImage) {
+  std::vector<uint8_t> image = MidPaneImage();
+  StampU32(&image, kFirstTupleValueCount, GetParam());
+  ExpectCorruptImageFailsCheaply(image);
+}
+
+INSTANTIATE_TEST_SUITE_P(HugeCounts, CorruptCountTest,
+                         ::testing::Values(0xFFFFFFFFu, 1u << 28, 1u << 24));
+
+// --- seeded mutations of every stateful operator kind ---------------------
+
+// Rows of int key, double value and string label; every fifth row carries
+// three more values, past the 4-value inline payload.
+std::vector<Tuple> MixedRows(int lo, int hi) {
+  std::vector<Tuple> rows;
+  for (int i = lo; i < hi; ++i) {
+    Tuple t;
+    t.timestamp = i * Millis(90);
+    t.sic = 0.01 * (i % 7 + 1);
+    t.values.push_back(Value(int64_t{i % 3}));
+    t.values.push_back(Value(Wobble(i)));
+    t.values.push_back(Value("label-" + std::to_string(i % 4)));
+    if (i % 5 == 0) {
+      for (int k = 0; k < 3; ++k) t.values.push_back(Value(int64_t{i * k}));
+    }
+    rows.push_back(std::move(t));
+  }
+  return rows;
+}
+
+// Tumbling, sliding and count windows, binary pending panes, pass-through,
+// group-by, and the EWMA and delta scalars.
+constexpr int kStatefulKinds = 8;
+
+std::unique_ptr<Operator> MakeStateful(int kind) {
+  const AggregateKind avg = AggregateKind::kAvg;
+  const WindowSpec tumbling = WindowSpec::TumblingTime(kSecond);
+  const WindowSpec sliding = WindowSpec::SlidingTime(2 * kSecond, Millis(500));
+  const WindowSpec count = WindowSpec::Count(7);
+  switch (kind) {
+    case 0:
+      return std::make_unique<AggregateOp>(avg, 1, tumbling);
+    case 1:
+      return std::make_unique<AggregateOp>(AggregateKind::kSum, 1, sliding);
+    case 2:
+      return std::make_unique<AggregateOp>(AggregateKind::kMax, 1, count);
+    case 3:
+      return std::make_unique<HashJoinOp>(0, 0, tumbling);
+    case 4:
+      return std::make_unique<PassThroughOperator>("union");
+    case 5:
+      return std::make_unique<GroupByAggregateOp>(avg, 0, 1, tumbling);
+    case 6:
+      return std::make_unique<EwmaOp>(0.25, 1, tumbling);
+    default:
+      return std::make_unique<DeltaOp>(1, tumbling);
+  }
+}
+
+// Mid-flight state: a pane released (scalars initialised, sliding panes
+// aligned), rows left in open panes and, for binary operators, the left
+// side a pane ahead of the right.
+std::vector<uint8_t> MidFlightImage(Operator* op) {
+  op->Ingest(MixedRows(0, 14), 0);
+  if (op->num_ports() > 1) op->Ingest(MixedRows(3, 8), 1);
+  Advance(*op, kSecond);
+  op->Ingest(MixedRows(14, 20), 0);
+  return Image(*op);
+}
+
+// One edit: a byte replaced, inserted or deleted, a u32 stamped with a huge
+// or random count, or the image cut short.
+void MutateImage(std::vector<uint8_t>* image, Rng* rng) {
+  auto pick = [rng](size_t n) {
+    return static_cast<size_t>(rng->UniformInt(0, static_cast<int64_t>(n) - 1));
+  };
+  const int64_t kind = rng->UniformInt(0, 4);
+  if (image->empty()) return;
+  const size_t at = pick(image->size());
+  const auto byte = static_cast<uint8_t>(rng->UniformInt(0, 255));
+  switch (kind) {
+    case 0:
+      (*image)[at] = byte;
+      break;
+    case 1:
+      image->insert(image->begin() + at, byte);
+      break;
+    case 2:
+      image->erase(image->begin() + at);
+      break;
+    case 3: {
+      const uint32_t huge[] = {0xFFFFFFFFu, 1u << 28, 1u << 24};
+      uint32_t count = static_cast<uint32_t>(rng->UniformInt(0, UINT32_MAX));
+      if (rng->Bernoulli(0.75)) count = huge[pick(3)];
+      if (image->size() >= at + 4) StampU32(image, at, count);
+      break;
+    }
+    default:
+      image->resize(at);
+      break;
+  }
+}
+
+// Seeded byte edits and truncations of images of every stateful operator
+// kind: RestoreFrom must return without throwing and without reading past
+// the end (the reader sees an exactly sized heap copy, so ASan catches an
+// overrun), and the restored operator must capture and reset cleanly.
+TEST(CheckpointReaderMutationTest, SeededEditsAlwaysRestoreSafely) {
+  const int kPerKind = 1000;
+  const int kMaxEdits = 3;  // stacked edits per mutation
+  Rng rng(20160626);
+  int mutations = 0, overruns = 0, exact = 0;
+  for (int kind = 0; kind < kStatefulKinds; ++kind) {
+    std::unique_ptr<Operator> source = MakeStateful(kind);
+    const std::vector<uint8_t> image = MidFlightImage(source.get());
+    ASSERT_GT(image.size(), 100u) << source->name();
+    for (int i = 0; i < kPerKind; ++i) {
+      std::vector<uint8_t> mutated = image;
+      for (int edits = static_cast<int>(rng.UniformInt(1, kMaxEdits));
+           edits > 0; --edits) {
+        MutateImage(&mutated, &rng);
+      }
+      const std::vector<uint8_t> exact_copy(mutated.begin(), mutated.end());
+      std::unique_ptr<Operator> op = MakeStateful(kind);
+      op->Ingest(MixedRows(40, 45), 0);  // state the restore must replace
+      CheckpointReader r(exact_copy);
+      ++mutations;
+      EXPECT_NO_THROW(op->RestoreFrom(&r)) << op->name() << " mutation " << i;
+      overruns += r.ok() ? 0 : 1;
+      exact += r.ok() && r.AtEnd() ? 1 : 0;
+      CheckpointWriter w;
+      op->Checkpoint(&w);
+      op->ResetState(nullptr);
+    }
+  }
+  EXPECT_EQ(mutations, 8000);
+  // The edits must reach both ends: reads cut short, and images that still
+  // parse to the end (a value or scalar changed in place).
+  EXPECT_GT(overruns, 1000);
+  EXPECT_GT(exact, 100);
 }
 
 }  // namespace
