@@ -11,11 +11,11 @@
 //    win must survive mid-run joins, migrations and re-balances.
 //  * Determinism: the printed report contains only simulated quantities,
 //    so its bytes are a pure function of the scenario. CI byte-diffs two
-//    full invocations for run-to-run identity at every shard count. Per
-//    the elastic determinism exception (see
-//    federation/elastic_federation.h), the multi-shard report may
-//    legitimately differ from the single-shard one: a re-balance re-homes
-//    in-flight deliveries, and the landing epoch depends on the shard map.
+//    full invocations for run-to-run identity at every shard count. The
+//    multi-shard report may legitimately differ from the single-shard one
+//    (see federation/elastic_federation.h): crashes re-place orphans
+//    within a shard, and re-balances move timers and in-flight deliveries
+//    between shards, each at its own deadline.
 //
 // Flags (besides the PerfRecorder ones): --shards N, --nodes N,
 // --queries N.

@@ -1,6 +1,5 @@
 #include "common/stats.h"
 
-#include <algorithm>
 #include <cmath>
 
 namespace themis {
@@ -62,29 +61,6 @@ double MovingAverage::value() const {
 void MovingAverage::Reset() {
   window_.clear();
   sum_ = 0.0;
-}
-
-void RunningStats::Add(double x) {
-  if (n_ == 0) {
-    min_ = max_ = x;
-  } else {
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-  }
-  ++n_;
-  double delta = x - mean_;
-  mean_ += delta / static_cast<double>(n_);
-  m2_ += delta * (x - mean_);
-}
-
-double RunningStats::stddev() const {
-  if (n_ < 2) return 0.0;
-  return std::sqrt(m2_ / static_cast<double>(n_));
-}
-
-void RunningStats::Reset() {
-  n_ = 0;
-  mean_ = m2_ = min_ = max_ = 0.0;
 }
 
 }  // namespace themis

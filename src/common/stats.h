@@ -57,26 +57,6 @@ class MovingAverage {
   double sum_ = 0.0;
 };
 
-/// \brief Streaming min/max/mean/std accumulator (Welford's algorithm).
-class RunningStats {
- public:
-  void Add(double x);
-  size_t count() const { return n_; }
-  double mean() const { return n_ ? mean_ : 0.0; }
-  /// Population standard deviation.
-  double stddev() const;
-  double min() const { return n_ ? min_ : 0.0; }
-  double max() const { return n_ ? max_ : 0.0; }
-  void Reset();
-
- private:
-  size_t n_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-};
-
 }  // namespace themis
 
 #endif  // THEMIS_COMMON_STATS_H_

@@ -59,8 +59,8 @@ class Autoscaler {
   /// `scenario` supplies the topology template: cluster membership (group
   /// map for re-balances, joins go to the loaded cluster), LAN latency for
   /// wiring joins, and the node-count floor. The Fsps must be elastic
-  /// (FspsOptions::elastic) for grow/re-balance to commit on a sharded
-  /// engine.
+  /// (FspsOptions::elastic): the offered load the loop reads is only
+  /// tracked there.
   Autoscaler(Fsps* fsps, const ScaleScenario& scenario,
              AutoscalerOptions options = {});
 

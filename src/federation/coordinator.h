@@ -56,11 +56,11 @@ class QueryCoordinator {
   /// Starts the periodic dissemination timer.
   void Start();
 
-  /// Moves the coordinator to another shard's event queue (elastic
-  /// re-balance: the coordinator follows its home node's shard so
-  /// dissemination sends and OnResult calls stay shard-local). Only legal
-  /// between engine runs. The dissemination timer re-arms on the new queue
-  /// at its original deadline (see sim/timer.h).
+  /// Moves the coordinator to another shard's event queue (a re-balance:
+  /// the coordinator follows its home node's shard so dissemination sends
+  /// and OnResult calls stay shard-local). Only legal between engine runs.
+  /// The dissemination timer re-arms on the new queue at its original
+  /// deadline (see sim/timer.h).
   void MigrateQueue(EventQueue* queue) { timer_.MoveTo(queue); }
   EventQueue* queue() const { return timer_.queue(); }
 

@@ -10,10 +10,12 @@
 // keeps knocking nodes out from under it.
 //
 // Determinism: the run is bit-identical run-to-run at any fixed shard
-// count. Different shard counts may diverge from each other (re-balances
-// re-forward in-flight messages, and the landing epoch's width depends on
-// the shard count); the determinism contract's elastic exception is
-// documented at ParallelEngine::EnableElastic.
+// count. Different shard counts may diverge from each other, as any run
+// outside the static scale scenario may (sim/parallel_engine.h): a
+// re-balance is a no-op at one shard, and a crash re-places orphans only
+// within the crashed node's shard. A re-balance itself delays nothing —
+// every timer and in-flight delivery keeps its deadline on its node's new
+// shard (the migration rule, documented at Network::SetShardMap).
 #ifndef THEMIS_FEDERATION_ELASTIC_FEDERATION_H_
 #define THEMIS_FEDERATION_ELASTIC_FEDERATION_H_
 

@@ -32,15 +32,7 @@ Fsps::Fsps(FspsOptions options)
       rng_(options.seed),
       engine_(std::make_unique<ParallelEngine>(std::max(options.shards, 1))),
       network_(engine_.get(), options.default_link_latency),
-      recovery_(options.recovery) {
-  if (options_.elastic) {
-    // Elastic runs wrap every sharded delivery in the re-forwarding
-    // trampoline and relax the engine's lookahead invariant for stale
-    // re-forwards; opt-in because the wrapper costs an allocation per
-    // message. The wrapper is off on a single-shard run.
-    network_.EnableElastic();
-  }
-}
+      recovery_(options.recovery) {}
 
 Fsps::~Fsps() = default;
 
@@ -64,12 +56,6 @@ Status Fsps::ValidateAddNode(int shard) const {
                                    " out of range [0, " +
                                    std::to_string(shards) + ")");
   }
-  if (started_ && shards > 1 && !options_.elastic) {
-    return Status::FailedPrecondition(
-        "adding a node to a started sharded engine requires "
-        "FspsOptions::elastic (the non-elastic shard map freezes the node "
-        "set at Start)");
-  }
   return Status::OK();
 }
 
@@ -91,19 +77,13 @@ NodeId Fsps::AddNodeNow(NodeOptions node_options, int shard) {
   if (started_) {
     // Mid-run join. Pre-Start nodes get their source link and Start() call
     // from Fsps::Start; a joiner does both here, at the control-plane
-    // boundary. On a sharded engine the link edit is queued (the matrix is
-    // frozen mid-run) and lands at the next RunFor boundary — before any
-    // source can target the node, since deployment is also boundary-only.
-    // The network's shard map already holds the joiner, so deliveries route
-    // to its shard immediately.
-    if (shards > 1) {
-      network_.QueueSetLatency(kInvalidId, id, options_.source_link_latency);
-      topology_dirty_ = true;  // links to the joiner constrain the epoch
-    } else {
-      Status st =
-          network_.SetLatency(kInvalidId, id, options_.source_link_latency);
-      THEMIS_CHECK(st.ok());
-    }
+    // boundary. The link edit is queued, like every edit after Start, and
+    // lands at the next RunFor boundary — before any source can target the
+    // node, since deployment is also boundary-only. The network's shard map
+    // already holds the joiner, so deliveries route to its shard
+    // immediately.
+    network_.QueueSetLatency(kInvalidId, id, options_.source_link_latency);
+    topology_dirty_ = true;  // links to the joiner constrain the epoch
     nodes_.back()->Start();
     churn_stats_.nodes_added += 1;
   }
@@ -446,10 +426,6 @@ Status Fsps::ValidatePlanOp(const TopologyPlan::Op& op,
       return Status::OK();
     case TopologyPlan::OpKind::kRebalance:
       if (engine_->num_shards() <= 1) return Status::OK();  // no-op
-      if (!options_.elastic) {
-        return Status::FailedPrecondition(
-            "re-balancing a sharded engine requires FspsOptions::elastic");
-      }
       if (!started_) {
         return Status::FailedPrecondition(
             "re-balance before Start(): assign shards at AddNode instead");
@@ -633,11 +609,11 @@ Status Fsps::RebalanceNow(const std::vector<int>& group_of_node) {
     MarkRecoveryDisturbance(DisturbanceKind::kRebalance);
   }
 
-  // Migration, in entity order (see ParallelEngine::EnableElastic for the
-  // protocol): nodes move their timers, the network's map swaps (traffic
-  // counters stay with their shards), coordinators follow their home node,
-  // and source drivers follow their destination host so generated traffic
-  // stays shard-local.
+  // Migration, in entity order (the migration rule is documented at
+  // Network::SetShardMap): nodes move their timers, the network's map swaps
+  // and moves every in-flight delivery to its node's new shard, then
+  // coordinators follow their home node and source drivers their
+  // destination host, so generated traffic stays shard-local.
   uint64_t migrated = 0;
   for (size_t i = 0; i < n; ++i) {
     if (new_map[i] == shard_of(static_cast<NodeId>(i))) continue;
@@ -673,7 +649,7 @@ void Fsps::ReplaceOrphans(QueryId q, NodeId crashed) {
 
   // Candidates: live nodes — restricted to the crashed node's simulation
   // shard when sharded, because the query's source drivers and coordinator
-  // run on that shard's queue and entities never migrate across shards.
+  // run on that shard's queue and only a re-balance moves them.
   const bool sharded = engine_->num_shards() > 1;
   const int shard = shard_of(crashed);
   std::vector<NodeId> candidates;

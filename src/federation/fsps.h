@@ -55,31 +55,23 @@ struct FspsOptions {
   /// synchronized in barrier epochs of the minimum cross-shard link
   /// latency. Results are bit-identical run-to-run at any fixed shard
   /// count; identity across shard counts is not promised (see
-  /// sim/parallel_engine.h). Non-elastic multi-shard runs freeze the
-  /// *node set* at Start(): add all nodes first. All control-plane
-  /// mutation — deploy/undeploy and every TopologyPlan — stays between
-  /// RunFor calls; link edits queue and apply at the next run boundary,
-  /// where the epoch width is re-derived.
+  /// sim/parallel_engine.h). All control-plane mutation — deploy/undeploy
+  /// and every TopologyPlan, joins and re-balances included — stays
+  /// between RunFor calls; link edits queue and apply at the next run
+  /// boundary, where the epoch width is re-derived.
   int shards = 1;
   /// How a crash re-places orphaned fragments. The default keeps the
   /// PR 4 round-robin cursor byte-for-byte; kSicAware moves orphans to the
   /// least-overloaded live candidate (see federation/placement.h).
   ReplacementPolicy replacement = ReplacementPolicy::kRoundRobin;
-  /// Elastic mode: the sharded engine admits mid-run topology growth
-  /// (AddNode after Start) and shard re-balancing (TopologyPlan::Rebalance)
-  /// by wrapping every sharded delivery in a re-forwarding trampoline (see
-  /// ParallelEngine::EnableElastic for the migration protocol). Off by
-  /// default: the wrapper costs one allocation per message, and elastic
-  /// runs at different shard counts may diverge from each other (run-to-run
-  /// determinism at a fixed count still holds exactly). The trampoline is
-  /// a no-op at shards == 1.
-  ///
-  /// Elastic mode also picks the per-node load signal that ranks kSicAware
-  /// candidates and weighs the re-balancer's groups: forward-looking offered
-  /// load (arrival rate x measured per-tuple cost), so an overloaded node
-  /// that sheds hard no longer looks idle to the placer. Every node then
-  /// tracks its arrivals at ingress. Otherwise the signal is the SIC mass a
-  /// node admitted over the trailing STW, and nothing tracks arrivals.
+  /// Elastic mode picks the per-node load signal that the autoscaler,
+  /// kSicAware re-placement and the re-balancer (TopologyPlan::Rebalance)
+  /// rank nodes by: forward-looking offered load (arrival rate x measured
+  /// per-tuple cost), so an overloaded node that sheds hard no longer looks
+  /// idle to the placer. Every node then tracks its arrivals at ingress.
+  /// Otherwise the signal is the SIC mass a node admitted over the trailing
+  /// STW, and nothing tracks arrivals. Joins after Start and re-balances
+  /// are open to every federation either way.
   bool elastic = false;
   /// Recovery observability (metrics/recovery_tracker.h). When
   /// `recovery.enabled`, RunFor splits its run at the sampling cadence and
@@ -142,14 +134,12 @@ class Fsps : public BatchRouter {
   /// long WAN links cross shards and the epoch stays wide). `kAutoShard`
   /// round-robins node id over the shards.
   ///
-  /// Before Start() this always succeeds. After Start() the node joins the
+  /// Before Start() the node simply joins. After Start() it joins the
   /// running federation: it starts immediately, its source link is queued
-  /// for the next RunFor boundary, and on a sharded engine the shard map
-  /// grows in place — which requires FspsOptions::elastic
-  /// (FailedPrecondition otherwise; the non-elastic sharded contract
-  /// freezes the node set at Start). InvalidArgument for an out-of-range
-  /// shard. Prefer staging joins on a TopologyPlan so they validate and
-  /// commit with the rest of a transition.
+  /// for the next RunFor boundary, and the shard map grows in place.
+  /// InvalidArgument for an out-of-range shard. Prefer staging joins on a
+  /// TopologyPlan so they validate and commit with the rest of a
+  /// transition.
   Result<NodeId> AddNode(NodeOptions options, int shard);
 
   Node* node(NodeId id);
@@ -162,13 +152,11 @@ class Fsps : public BatchRouter {
   /// unknown ids resolve to 0): the Network's map.
   int shard_of(NodeId id) const { return network_.ShardOf(id); }
   Network* network() { return &network_; }
-  /// Shard 0's event queue. With shards > 1, use engine() for the others;
-  /// manual scheduling is only legal between RunFor calls.
-  EventQueue* queue() { return engine_->queue(0); }
+  /// The engine owning the shard event queues; manual scheduling is only
+  /// legal between RunFor calls.
   ParallelEngine* engine() { return engine_.get(); }
   /// Current simulated time (all shards agree between RunFor calls).
   SimTime now() const { return engine_->now(); }
-  Rng* rng() { return &rng_; }
   /// The configuration this federation was built with (read-only).
   const FspsOptions& options() const { return options_; }
 
@@ -239,9 +227,8 @@ class Fsps : public BatchRouter {
   /// Validation half of ApplyPlan; mutates only the scratch vectors.
   Status ValidatePlanOp(const TopologyPlan::Op& op,
                         std::vector<char>* scratch_alive) const;
-  /// The node-join checks shared by AddNode(options, shard) and a staged
-  /// TopologyPlan::AddNode: `shard` in range (or kAutoShard), and a started
-  /// sharded engine only grows when elastic.
+  /// The node-join check shared by AddNode(options, shard) and a staged
+  /// TopologyPlan::AddNode: `shard` in range (or kAutoShard).
   Status ValidateAddNode(int shard) const;
   // Commit internals: the single-op bodies behind TopologyPlan.
   // Preconditions were validated; the remaining Status return is
@@ -250,12 +237,13 @@ class Fsps : public BatchRouter {
   void RestoreNodeNow(NodeId id);
   void SetLinkLatencyNow(NodeId a, NodeId b, SimDuration latency);
   NodeId AddNodeNow(NodeOptions node_options, int shard);
-  /// Elastic shard re-balance (TopologyPlan::Rebalance). Computes group
-  /// loads from the node load signal, packs groups onto shards with
-  /// an LPT greedy (heaviest group first onto the least-loaded shard; ties
-  /// break by ascending id, so the map is a pure function of the loads),
-  /// checks the new map still admits a conservative schedule, then migrates
-  /// every entity whose shard changed and swaps the network's map in place.
+  /// Shard re-balance (TopologyPlan::Rebalance). Computes group loads from
+  /// the node load signal, packs groups onto shards with an LPT greedy
+  /// (heaviest group first onto the least-loaded shard; ties break by
+  /// ascending id, so the map is a pure function of the loads),
+  /// checks the new map still admits a conservative schedule, then moves
+  /// every timer and in-flight delivery whose node changed shard (the
+  /// migration rule, documented at Network::SetShardMap).
   Status RebalanceNow(const std::vector<int>& group_of_node);
   /// Estimated wire size of a batch (tuple payloads + the 10-byte header).
   static size_t BatchBytes(const Batch& b);

@@ -1,6 +1,6 @@
 // The unified control plane of a dynamic federation: every topology
-// mutation — node crash/restore, link drift, mid-run node join, elastic
-// shard re-balance — is staged on a TopologyPlan and committed by Apply().
+// mutation — node crash/restore, link drift, mid-run node join, shard
+// re-balance — is staged on a TopologyPlan and committed by Apply().
 // A plan is validated as a whole before anything mutates, so a bad op in
 // the middle of a batch does not leave the federation half-churned, and
 // multi-op transitions ("add two nodes, wire their LAN links, re-balance")
@@ -73,18 +73,18 @@ class TopologyPlan {
   TopologyPlan& SetLinkLatency(NodeId a, NodeId b, SimDuration latency);
   /// Stages a node join and returns the id the node will get — valid for
   /// later ops in this plan (link wiring, group maps) and, after a
-  /// successful Apply(), for the federation at large. On a started sharded
-  /// engine the join requires FspsOptions::elastic. `shard` may be
-  /// Fsps::kAutoShard.
+  /// successful Apply(), for the federation at large. `shard` may be
+  /// Fsps::kAutoShard; InvalidArgument when it is out of range.
   NodeId AddNode(NodeOptions options, int shard);
-  /// Stages an elastic shard re-balance: re-derives the node->shard map
-  /// from the current per-node load signal and migrates every entity whose
-  /// shard changed. `group_of_node[id]` keeps groups of nodes (e.g. LAN
-  /// clusters) on one shard so intra-group links never constrain the epoch;
-  /// empty means every node is its own group. Nodes added earlier in this
-  /// plan are covered by the map (size = node count at this point in the
-  /// plan). Requires FspsOptions::elastic on a sharded engine; a no-op at
-  /// one shard.
+  /// Stages a shard re-balance: re-derives the node->shard map from the
+  /// current per-node load signal and moves every timer and in-flight
+  /// delivery whose node changed shard, each at its own deadline (the
+  /// migration rule, documented at Network::SetShardMap).
+  /// `group_of_node[id]` keeps groups of nodes (e.g. LAN clusters) on one
+  /// shard so intra-group links never constrain the epoch; empty means
+  /// every node is its own group. Nodes added earlier in this plan are
+  /// covered by the map (size = node count at this point in the plan).
+  /// FailedPrecondition before Start(); a no-op at one shard.
   TopologyPlan& Rebalance(std::vector<int> group_of_node = {});
 
   /// Validates the whole plan, then commits it (see class comment). A plan

@@ -79,11 +79,12 @@ class Node {
   /// Starts the periodic overload-detector/shedder timer.
   void Start();
 
-  /// Moves the node to another shard's event queue (elastic re-balance; see
-  /// ParallelEngine::EnableElastic for the protocol). Only legal between
-  /// engine runs. Both timers (shed tick, pending processing event) move:
-  /// live ones re-arm on the new queue at their original deadlines, so the
-  /// phase is kept (see sim/timer.h).
+  /// Moves the node to another shard's event queue (a re-balance; the
+  /// migration rule is documented at Network::SetShardMap). Only legal
+  /// between engine runs. Both timers (shed tick, pending processing event)
+  /// move: live ones re-arm on the new queue at their original deadlines,
+  /// so the phase is kept (see sim/timer.h). In-flight deliveries to the
+  /// node move with the network's map swap.
   void MigrateQueue(EventQueue* queue) {
     shed_timer_.MoveTo(queue);
     processing_.MoveTo(queue);

@@ -125,15 +125,19 @@ bool MaybeCheckpointOperator(Operator* op, QueryId q, SimTime now,
 
 bool RestoreOrResetOperator(Operator* op, QueryId q, CheckpointStore* store) {
   const CheckpointStore::Entry* e = store->Find(q, op->id());
-  if (e == nullptr) {
-    op->ResetState(nullptr);
-    store->mutable_stats()->missed += 1;
-    return false;
+  if (e != nullptr) {
+    CheckpointReader r(e->bytes);
+    op->RestoreFrom(&r);
+    if (r.ok()) {
+      store->mutable_stats()->restores += 1;
+      return true;
+    }
   }
-  CheckpointReader r(e->bytes);
-  op->RestoreFrom(&r);
-  store->mutable_stats()->restores += 1;
-  return true;
+  // No image, or a torn or malformed one: whatever part of it parsed is no
+  // usable state, so the operator comes back empty.
+  op->ResetState(nullptr);
+  store->mutable_stats()->missed += 1;
+  return false;
 }
 
 }  // namespace themis

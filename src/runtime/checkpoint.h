@@ -164,7 +164,7 @@ class CheckpointStore {
     uint64_t taken = 0;          ///< images (re)written
     uint64_t skipped_clean = 0;  ///< capture skipped: dirt <= error_bound
     uint64_t restores = 0;       ///< operators restored from an image
-    uint64_t missed = 0;         ///< restore requested but no image: reset
+    uint64_t missed = 0;         ///< no usable image (none or torn): reset
     uint64_t bytes_written = 0;  ///< cumulative serialized bytes
   };
 
@@ -216,7 +216,6 @@ class CheckpointStore {
     }
   }
 
-  void Clear() { table_.clear(); }
   /// Images currently held.
   size_t size() const {
     size_t n = 0;
@@ -250,8 +249,9 @@ class CheckpointStore {
 bool MaybeCheckpointOperator(Operator* op, QueryId q, SimTime now,
                              double error_bound, CheckpointStore* store);
 
-/// Restores `op` from its image in `store`, or resets it when none exists
-/// (counted as `missed`). Returns true when an image was found.
+/// Restores `op` from its image in `store`, or resets it when there is no
+/// usable image — none, or one the reader fails on (torn or malformed) —
+/// counted as `missed`. Returns true when the image restored.
 bool RestoreOrResetOperator(Operator* op, QueryId q, CheckpointStore* store);
 
 }  // namespace themis

@@ -135,7 +135,8 @@ class ServerPipeline : private ServerSite {
   /// only behind the pump barrier, when no worker can be mid-slice.
   void EnableCheckpoints(CheckpointStore* store, CheckpointConfig config);
   /// The process-restart model: restores every hosted operator from the
-  /// enabled store (operators without an image reset). Call before Start,
+  /// enabled store (operators without a usable image reset; see
+  /// RestoreOrResetOperator). Call before Start,
   /// after AddQuery — a fresh pipeline hosting the same graphs resumes
   /// from the last captured images.
   void RestoreHostedFromStore();

@@ -5,7 +5,7 @@
 
 namespace themis {
 
-void EventQueue::Schedule(SimTime t, Callback cb) {
+void EventQueue::Schedule(SimTime t, Callback cb, int32_t tag) {
   uint32_t slot;
   if (!free_slots_.empty()) {
     slot = free_slots_.back();
@@ -15,7 +15,8 @@ void EventQueue::Schedule(SimTime t, Callback cb) {
     slot = static_cast<uint32_t>(slots_.size());
     slots_.push_back(std::move(cb));
   }
-  queue_.push({std::max(t, now_), next_seq_++, slot});
+  heap_.push_back({std::max(t, now_), next_seq_++, slot, tag});
+  std::push_heap(heap_.begin(), heap_.end(), Later());
 }
 
 void EventQueue::ScheduleAfter(SimDuration delay, Callback cb) {
@@ -23,9 +24,10 @@ void EventQueue::ScheduleAfter(SimDuration delay, Callback cb) {
 }
 
 bool EventQueue::RunNext() {
-  if (queue_.empty()) return false;
-  Event ev = queue_.top();
-  queue_.pop();
+  if (heap_.empty()) return false;
+  std::pop_heap(heap_.begin(), heap_.end(), Later());
+  Event ev = heap_.back();
+  heap_.pop_back();
   now_ = ev.time;
   ++executed_;
   // Move the callback out before running: the callback may schedule new
@@ -37,7 +39,7 @@ bool EventQueue::RunNext() {
 }
 
 void EventQueue::RunUntil(SimTime t) {
-  while (!queue_.empty() && queue_.top().time <= t) RunNext();
+  while (!heap_.empty() && heap_.front().time <= t) RunNext();
   now_ = std::max(now_, t);
 }
 

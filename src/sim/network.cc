@@ -81,23 +81,20 @@ void Network::AssignShard(NodeId id, int shard) {
   shard_of_node_[id] = shard;
 }
 
-UniqueFunction Network::WrapElastic(NodeId to, int via_shard,
-                                    UniqueFunction inner) {
-  return UniqueFunction(
-      [this, to, via_shard, inner = std::move(inner)]() mutable {
-        int cur = ShardOf(to);
-        if (cur == via_shard) {
-          inner();
-          return;
-        }
-        // The destination migrated while this delivery was in flight:
-        // re-forward it (re-wrapped, in case it migrates again) to its
-        // current shard. It merges at the next epoch barrier and fires
-        // there — up to one epoch late, deterministically.
-        SimTime now = engine_->queue(via_shard)->now();
-        engine_->EnqueueRemote(via_shard, cur, now,
-                               WrapElastic(to, cur, std::move(inner)));
-      });
+void Network::SetShardMap(std::vector<int> shard_of_node) {
+  shard_of_node_ = std::move(shard_of_node);
+  // The migration rule for deliveries (see the header): a delivery queued
+  // on shard s whose destination now lives elsewhere moves there.
+  std::vector<EventQueue::Taken> moved;
+  for (int s = 0; s < engine_->num_shards(); ++s) {
+    engine_->queue(s)->TakeIf(
+        [this, s](int32_t node) { return ShardOf(node) != s; }, &moved);
+    for (EventQueue::Taken& ev : moved) {
+      engine_->queue(ShardOf(ev.tag))
+          ->Schedule(ev.time, std::move(ev.cb), ev.tag);
+    }
+    moved.clear();
+  }
 }
 
 uint64_t Network::messages_sent() const {
@@ -123,15 +120,10 @@ void Network::Send(NodeId from, NodeId to, size_t payload_bytes,
   SimTime deliver = engine_->queue(shard)->now() +
                     std::max<SimDuration>(Latency(from, to), 0);
   int dest_shard = ShardOf(to);
-  if (elastic_) {
-    // The destination may migrate before `deliver`; the wrapper re-checks
-    // its shard at fire time and re-forwards if it moved.
-    on_delivery = WrapElastic(to, dest_shard, std::move(on_delivery));
-  }
   if (dest_shard == shard) {
-    engine_->queue(dest_shard)->Schedule(deliver, std::move(on_delivery));
+    engine_->queue(dest_shard)->Schedule(deliver, std::move(on_delivery), to);
   } else {
-    engine_->EnqueueRemote(shard, dest_shard, deliver,
+    engine_->EnqueueRemote(shard, dest_shard, deliver, to,
                            std::move(on_delivery));
   }
 }

@@ -11,7 +11,9 @@
 // (nodes it has never been told about, and the pseudo source node
 // kInvalidId, live on shard 0). Send takes one path at every shard count:
 // it schedules same-shard traffic straight onto the destination shard's
-// queue and hands cross-shard traffic to ParallelEngine::EnqueueRemote.
+// queue and hands cross-shard traffic to ParallelEngine::EnqueueRemote,
+// tagging each delivery with its destination node so a re-balance can move
+// it (SetShardMap).
 // Per-shard "lanes" keep the traffic counters thread-local to the executing
 // shard, so the parallel engine runs without locks.
 //
@@ -29,7 +31,6 @@
 #define THEMIS_SIM_NETWORK_H_
 
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 #include "common/function.h"
@@ -96,29 +97,27 @@ class Network {
   /// The node->shard map, indexed by NodeId.
   const std::vector<int>& shard_of_node() const { return shard_of_node_; }
   /// Places node `id` on `shard`, growing the map. Nodes join before
-  /// Start or, on an elastic engine, between engine runs.
+  /// Start or between engine runs.
   void AssignShard(NodeId id, int shard);
-  /// Replaces the whole map — the elastic re-balance path. Only legal
-  /// between engine runs; the per-shard lanes (traffic counters) stay.
-  void SetShardMap(std::vector<int> shard_of_node) {
-    shard_of_node_ = std::move(shard_of_node);
-  }
+  /// Replaces the whole map (a re-balance, Fsps::RebalanceNow). Only legal
+  /// between engine runs, where every shard clock is equal and the inbox
+  /// rings are empty (the final epoch's merge runs before RunUntil
+  /// returns). The per-shard lanes (traffic counters) stay.
+  ///
+  /// The migration rule: everything in flight keeps its deadline and moves
+  /// to its node's new shard. This call moves the deliveries: every queued
+  /// delivery whose destination node now maps to another shard leaves its
+  /// queue (EventQueue::TakeIf on the destination tag Send attached) and
+  /// is scheduled on the new shard's queue at its own deadline — source
+  /// shards ascending, each shard's moved deliveries in (time, seq) order,
+  /// so a moved run is as deterministic as any other. Timers move with
+  /// their owners (Timer::MoveTo, sim/timer.h): Fsps::RebalanceNow moves
+  /// the nodes' timers before this call and the coordinators' and source
+  /// drivers' after it.
+  void SetShardMap(std::vector<int> shard_of_node);
   /// Freezes the topology of a sharded network (see class comment); Fsps
   /// calls it at Start, when the engine's lookahead is first derived.
   void Freeze() { frozen_ = engine_->num_shards() > 1; }
-
-  /// Elastic mode: on a multi-shard engine every delivery is wrapped so
-  /// that a message in flight across a re-balance boundary — scheduled on
-  /// the shard that held its destination at send time — re-forwards itself
-  /// to the destination's current shard instead of firing on the stale
-  /// one, and the engine admits such stragglers (see
-  /// ParallelEngine::EnableElastic for the protocol). Call before the first
-  /// send. The wrapper allocates, so it is opt-in, and a one-shard engine
-  /// (whose map never changes) does not wrap.
-  void EnableElastic() {
-    engine_->EnableElastic();
-    elastic_ = engine_->num_shards() > 1;
-  }
 
   /// Delivers `on_delivery` at the destination after the link latency.
   /// `payload_bytes` only feeds the traffic statistics. The callback may own
@@ -144,11 +143,6 @@ class Network {
     SimDuration latency;
   };
 
-  /// Wraps a delivery callback for elastic mode: fires `inner` if the
-  /// destination still lives on `via_shard`, else re-forwards it (re-
-  /// wrapped) to the destination's current shard through the engine.
-  UniqueFunction WrapElastic(NodeId to, int via_shard, UniqueFunction inner);
-
   /// Grows the matrix to cover ids up to `need - 2` (index dimension
   /// `need`), preserving existing overrides.
   void EnsureDim(size_t need);
@@ -171,7 +165,6 @@ class Network {
   std::vector<Lane> lanes_;  // one per shard
   std::vector<int> shard_of_node_;
   bool frozen_ = false;
-  bool elastic_ = false;
 };
 
 }  // namespace themis

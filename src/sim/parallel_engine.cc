@@ -36,20 +36,17 @@ uint64_t ParallelEngine::executed() const {
 }
 
 void ParallelEngine::EnqueueRemote(int from_shard, int to_shard,
-                                   SimTime deliver_time, UniqueFunction cb) {
+                                   SimTime deliver_time, int32_t tag,
+                                   UniqueFunction cb) {
   THEMIS_CHECK(tls_running_shard == from_shard);
   // Cross-shard traffic requires a positive epoch width: with lookahead <= 0
   // a shard runs straight to the target and a remote delivery inside that
   // stretch would be missed. Fsps derives the lookahead from the topology
   // whenever any node pair crosses shards, so this firing means a
-  // zero-latency cross-shard link (or a bypassed Fsps::Start). Exception:
-  // on an elastic engine a stale re-forward (a delivery whose destination
-  // migrated while it was in flight) may arrive after a re-balance removed
-  // the last cross-shard link; it merges at the end of the current stretch
-  // and runs in the next one — late, but deterministic.
-  THEMIS_CHECK(lookahead_ > 0 || elastic_);
+  // zero-latency cross-shard link (or a bypassed Fsps::Start).
+  THEMIS_CHECK(lookahead_ > 0);
   rings_[static_cast<size_t>(from_shard) * queues_.size() + to_shard]
-      .items.push_back({deliver_time, std::move(cb)});
+      .items.push_back({deliver_time, tag, std::move(cb)});
 }
 
 void ParallelEngine::MergeInbox(int shard) {
@@ -73,7 +70,7 @@ void ParallelEngine::MergeInbox(int shard) {
       merged.begin(), merged.end(),
       [](const Pending& a, const Pending& b) { return a.time < b.time; });
   EventQueue* q = queues_[shard].get();
-  for (Pending& p : merged) q->Schedule(p.time, std::move(p.cb));
+  for (Pending& p : merged) q->Schedule(p.time, std::move(p.cb), p.tag);
   merged.clear();
 }
 

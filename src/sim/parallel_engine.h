@@ -21,8 +21,10 @@
 // how Fsps runs every single-shard federation.
 //
 // Bit-identity *across* shard counts is not part of the contract: it holds
-// only where CI checks it (the static scale scenario, shards 1 vs 4), and
-// elastic runs are a documented exception (see EnableElastic).
+// only where CI checks it (the static scale scenario, shards 1 vs 4).
+// Between RunUntil calls the node->shard map may change; everything in
+// flight then keeps its deadline and moves to its node's new shard (the
+// migration rule, documented at Network::SetShardMap).
 //
 // Determinism argument, inductively over epochs: each shard's intra-epoch
 // execution is a deterministic function of its queue contents; the rings it
@@ -32,6 +34,7 @@
 #ifndef THEMIS_SIM_PARALLEL_ENGINE_H_
 #define THEMIS_SIM_PARALLEL_ENGINE_H_
 
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -73,31 +76,6 @@ class ParallelEngine {
   /// Current epoch width; -1 until SetLookahead is called.
   SimDuration lookahead() const { return lookahead_; }
 
-  /// Declares that the node->shard map may change between runs (elastic
-  /// federation). Call before the first RunUntil. The migration protocol —
-  /// every step happens between RunUntil calls, where all shard clocks are
-  /// equal and the cross-shard inbox rings are provably empty (the final
-  /// epoch's merge runs before RunUntil returns):
-  ///   1. Entities move their timers (sim/timer.h) to the new shard's
-  ///      queue: a live timer re-arms there at its deadline, and the event
-  ///      left on the old shard no-ops when it fires (Timer's generation
-  ///      guard; generations are only written between runs, so
-  ///      worker-thread reads are race-free).
-  ///   2. The Network's shard map is swapped in one call (the per-shard
-  ///      traffic counters stay with their shards).
-  ///   3. In-flight deliveries scheduled before the re-balance fire on the
-  ///      shard that held the destination at send time; the Network's
-  ///      elastic trampoline re-forwards them through EnqueueRemote to the
-  ///      destination's current shard, where they land at the next epoch
-  ///      barrier. EnqueueRemote therefore tolerates lookahead <= 0 here (a
-  ///      re-forward may outlive the last cross-shard link); such
-  ///      stragglers merge at the end of the stretch and run in the next.
-  /// Re-forwarded deliveries land up to one epoch late, so elastic runs at
-  /// different shard counts may diverge from each other. Run-to-run
-  /// determinism at a fixed shard count is still exact (a one-shard map
-  /// never changes).
-  void EnableElastic() { elastic_ = true; }
-
   /// Advances every shard to simulated time `t` (inclusive: events at `t`
   /// run; equal-time events run in FIFO order). Returns with all shard
   /// clocks equal to `t` and all cross-shard inboxes drained. Only the
@@ -111,10 +89,11 @@ class ParallelEngine {
 
   /// Buffers a delivery for `to_shard` at simulated time `deliver_time` in
   /// the (from_shard, to_shard) inbox ring; it merges into `to_shard`'s
-  /// queue at the next epoch barrier. Must be called from the thread
+  /// queue at the next epoch barrier, scheduled with `tag` (the destination
+  /// node; see EventQueue::Schedule). Must be called from the thread
   /// currently running `from_shard` (Network::Send does).
   void EnqueueRemote(int from_shard, int to_shard, SimTime deliver_time,
-                     UniqueFunction cb);
+                     int32_t tag, UniqueFunction cb);
 
  private:
   /// One buffered cross-shard delivery. Ring order encodes the send order
@@ -122,6 +101,7 @@ class ParallelEngine {
   /// delivery times (stable sort over the time key).
   struct Pending {
     SimTime time;
+    int32_t tag;
     UniqueFunction cb;
   };
 
@@ -145,7 +125,6 @@ class ParallelEngine {
   std::vector<MergeScratch> scratch_;
   SimDuration lookahead_ = -1;
   SimTime now_ = 0;
-  bool elastic_ = false;
 };
 
 }  // namespace themis

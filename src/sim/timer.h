@@ -2,10 +2,10 @@
 //
 // Every periodic chain of the simulator (a node's shed tick and processing
 // chain, a coordinator's dissemination tick, a source driver's emission
-// chain) is an owner re-arming one Timer from its fire callback. The timer
-// owns the elastic migration protocol (ParallelEngine::EnableElastic):
-// MoveTo re-arms a live timer at its deadline on another shard's queue, and
-// a generation counter turns the event left on the old queue into a no-op
+// chain) is an owner re-arming one Timer from its fire callback. Timers
+// follow the migration rule documented at Network::SetShardMap: MoveTo
+// re-arms a live timer at its deadline on another shard's queue, and a
+// generation counter turns the event left on the old queue into a no-op
 // when it fires. That stale event still counts in EventQueue::executed().
 //
 // A stale event may fire on the old shard's worker thread while the owner
@@ -44,7 +44,7 @@ class Timer {
     armed_ = false;
     ++generation_;
   }
-  /// Moves the timer to `queue` (elastic re-balance; only between engine
+  /// Moves the timer to `queue` (a re-balance; only between engine
   /// runs). A live timer re-arms there at its deadline, so its phase is
   /// kept, and the event left on the old queue fires as a no-op. A no-op
   /// when `queue` is the current one.

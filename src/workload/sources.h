@@ -69,7 +69,7 @@ class SourceDriver {
   }
   bool stopped() const { return stopped_; }
 
-  /// Moves the driver to another shard's queue and batch pool (elastic
+  /// Moves the driver to another shard's queue and batch pool (a
   /// re-balance: a driver follows its destination node's shard so its
   /// deliveries stay shard-local). Only legal between engine runs. The
   /// emission timer re-arms on the new queue at its original deadline, so

@@ -4,9 +4,10 @@
 // (all five kinds) and filter images restored over operators that hold other
 // state; the store semantics the federation relies on (approximate
 // skip-if-clean, restore-or-reset, image hand-over, undeploy erasure,
-// truncated-image degradation) and its allocation-free re-capture; the
-// tuple image format against a field-by-field reference encoder; and the
-// reader against corrupted count fields and seeded image mutations.
+// truncated-image degradation, torn-image reset) and its allocation-free
+// re-capture; the tuple image format against a field-by-field reference
+// encoder; and the reader against corrupted count fields and seeded image
+// mutations.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -394,6 +395,25 @@ TEST(CheckpointStoreTest, TruncatedImageDegradesToEmptyState) {
   CheckpointReader r(image);
   b.RestoreFrom(&r);  // must not crash or read past the end
   EXPECT_FALSE(r.ok());
+}
+
+TEST(CheckpointStoreTest, TornImageInTheStoreResets) {
+  // A torn image parses only part-way: restoring that part would resume
+  // half the buffered tuples. The store counts it as missed and resets.
+  PassThroughOperator a("union");
+  a.Ingest(MakeRows(0, 10), 0);
+  std::vector<uint8_t> image = Image(a);
+  image.resize(image.size() / 2);
+  CheckpointStore store;
+  store.Put(4, 2, std::move(image), Millis(1));
+
+  PassThroughOperator b("union");
+  b.set_id(2);
+  b.Ingest(MakeRows(20, 23), 0);  // live state the reset must clear
+  EXPECT_FALSE(RestoreOrResetOperator(&b, 4, &store));
+  EXPECT_EQ(store.stats().restores, 0u);
+  EXPECT_EQ(store.stats().missed, 1u);
+  EXPECT_TRUE(Advance(b, kSecond).empty());
 }
 
 TEST(CheckpointStoreTest, DenseTableFindsOnlyTakenImages) {

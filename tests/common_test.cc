@@ -105,16 +105,6 @@ TEST(MovingAverageTest, SlidesOverCapacity) {
   EXPECT_DOUBLE_EQ(m.value(), 5.0);
 }
 
-TEST(RunningStatsTest, TracksMinMaxMeanStd) {
-  RunningStats rs;
-  for (double x : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) rs.Add(x);
-  EXPECT_EQ(rs.count(), 8u);
-  EXPECT_DOUBLE_EQ(rs.mean(), 5.0);
-  EXPECT_NEAR(rs.stddev(), 2.0, 1e-12);
-  EXPECT_EQ(rs.min(), 2.0);
-  EXPECT_EQ(rs.max(), 9.0);
-}
-
 TEST(RngTest, DeterministicForSameSeed) {
   Rng a(123), b(123);
   for (int i = 0; i < 100; ++i) {

@@ -328,6 +328,40 @@ TEST(AllocationRegressionTest, SteadyStateSingleNodeRunIsAllocationFree) {
                             << allocs << " tuples=" << tuples;
 }
 
+// A delivery on a sharded network is the hop closure in the event slab plus
+// its destination tag in the heap entry's padding: once the slab and heap
+// are warm, a send allocates nothing, whatever the shard count.
+TEST(AllocationRegressionTest, ShardedNetworkSendIsAllocationFree) {
+  ForceLinkAllocCounter();
+  ASSERT_TRUE(AllocCounter::active());
+  ParallelEngine engine(2);
+  Network net(&engine, Millis(1));
+  net.SetShardMap({0, 1, 0});  // nodes 0 and 2 share shard 0
+  int delivered = 0;
+  std::vector<Batch> batches;
+  for (int i = 0; i < 128; ++i) {
+    batches.push_back(MakeBatch(/*query=*/0, /*op=*/0, /*port=*/0,
+                                /*created=*/0, std::vector<Tuple>(1)));
+  }
+  auto send = [&](size_t first, size_t count) {
+    for (size_t i = first; i < first + count; ++i) {
+      net.Send(0, 2, 16,
+               [node = &delivered, b = std::move(batches[i])]() mutable {
+                 *node += static_cast<int>(b.size());
+               });
+    }
+  };
+  send(0, 64);
+  engine.RunUntil(Millis(10));  // warms the slab and the heap
+
+  uint64_t allocs_before = AllocCounter::allocations();
+  send(64, 64);
+  uint64_t allocs = AllocCounter::allocations() - allocs_before;
+  engine.RunUntil(Millis(20));
+  EXPECT_EQ(allocs, 0u);
+  EXPECT_EQ(delivered, 128);
+}
+
 // The server workload's sliding operators (250 ms panes sliding by 25 ms,
 // so every tuple lands in ten panes): after a warm-up second the sliding
 // ring, the recycled pane buffers and the per-operator scratch are all

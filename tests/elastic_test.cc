@@ -3,8 +3,8 @@
 // commit contract, mid-run AddNode on a started sharded engine, the
 // autoscaler loop, and the determinism contract across re-balances:
 // bit-identical run-to-run at every shard count. The ASan/TSan jobs cover
-// this file: migration moves live timer chains, inbox rings and pooled
-// batches between shards.
+// this file: migration moves live timer chains, queued deliveries and
+// pooled batches between shards.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -26,17 +26,22 @@ namespace {
 class ElasticShardTest : public ::testing::Test {
  protected:
   ElasticShardTest() : factory_(9) {
-    FspsOptions opts;
-    opts.seed = 77;
-    opts.shards = 2;
-    opts.elastic = true;
-    opts.default_link_latency = Millis(50);
-    opts.source_link_latency = Millis(50);
-    options_ = opts;
-    fsps_ = std::make_unique<Fsps>(opts);
-    nodes_.push_back(fsps_->AddNode());                  // shard 0
-    nodes_.push_back(fsps_->AddNode());                  // shard 0
-    nodes_.push_back(*fsps_->AddNode(opts.node, 1));     // shard 1
+    options_.seed = 77;
+    options_.shards = 2;
+    options_.elastic = true;
+    options_.default_link_latency = Millis(50);
+    options_.source_link_latency = Millis(50);
+    Build();
+  }
+
+  // (Re)builds the federation from options_. The shards are pinned:
+  // AddNode() would auto-shard node 1 onto shard 1 (id % 2).
+  void Build() {
+    fsps_ = std::make_unique<Fsps>(options_);
+    nodes_.clear();
+    for (int shard : {0, 0, 1}) {
+      nodes_.push_back(*fsps_->AddNode(options_.node, shard));
+    }
   }
 
   // Two-fragment COV query on shard-0 nodes (survives a shard-1 crash).
@@ -142,7 +147,8 @@ TEST_F(ElasticShardTest, StarvedShardRebalancesBackToBothShards) {
   EXPECT_NE(fsps_->shard_of(nodes_[0]), fsps_->shard_of(nodes_[1]));
 
   // The migrated node keeps producing: queries survive with phase intact,
-  // in-flight deliveries re-forward to the new shard, nothing is lost.
+  // in-flight deliveries move to the new shard at their own deadlines,
+  // nothing is lost.
   fsps_->RunFor(Seconds(10));
   EXPECT_GT(fsps_->coordinator(1)->result_tuples() +
                 fsps_->coordinator(2)->result_tuples(),
@@ -176,14 +182,37 @@ TEST_F(ElasticShardTest, MidChurnRebalancePreservesConservationAndLiveness) {
   EXPECT_GT(fsps_->QuerySic(2), 0.0);
 }
 
-TEST_F(ElasticShardTest, RebalanceRequiresElasticOnShardedEngine) {
-  FspsOptions opts = options_;
-  opts.elastic = false;
-  Fsps rigid(opts);
-  rigid.AddNode();
-  rigid.AddNode(opts.node, 1);
-  rigid.RunFor(Seconds(1));
-  EXPECT_TRUE(rigid.PlanTopology().Rebalance().Apply().IsFailedPrecondition());
+// Joins and re-balances are open to every sharded federation; elastic only
+// picks the load signal the re-balancer ranks by.
+TEST_F(ElasticShardTest, NonElasticShardedFederationJoinsAndRebalances) {
+  options_.elastic = false;
+  Build();
+  ASSERT_TRUE(DeployCov(1).ok());
+  ASSERT_TRUE(DeployCov(2).ok());
+  fsps_->RunFor(Millis(5130));  // mid-interval: traffic strictly in flight
+
+  Result<NodeId> late = fsps_->AddNode(options_.node, 1);
+  ASSERT_TRUE(late.ok());
+  EXPECT_EQ(fsps_->shard_of(*late), 1);
+  EXPECT_EQ(fsps_->churn_stats().nodes_added, 1u);
+  // An out-of-range shard is still an argument error.
+  EXPECT_TRUE(fsps_->AddNode(options_.node, 7).status().IsInvalidArgument());
+  EXPECT_TRUE(fsps_->AddNode(options_.node, -2).status().IsInvalidArgument());
+  uint64_t results_before = fsps_->coordinator(1)->result_tuples() +
+                            fsps_->coordinator(2)->result_tuples();
+
+  // Both loaded nodes sit on shard 0: the re-balance splits them.
+  ASSERT_TRUE(fsps_->PlanTopology().Rebalance().Apply().ok());
+  EXPECT_EQ(fsps_->churn_stats().rebalances, 1u);
+  EXPECT_GE(fsps_->churn_stats().migrated_nodes, 1u);
+  EXPECT_NE(fsps_->shard_of(nodes_[0]), fsps_->shard_of(nodes_[1]));
+
+  fsps_->RunFor(Seconds(10));
+  EXPECT_GT(fsps_->coordinator(1)->result_tuples() +
+                fsps_->coordinator(2)->result_tuples(),
+            results_before);
+  EXPECT_GT(fsps_->QuerySic(1), 0.0);
+  EXPECT_GT(fsps_->QuerySic(2), 0.0);
 }
 
 // Elastic federations rank nodes by offered load, so their nodes track

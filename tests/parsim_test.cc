@@ -289,6 +289,27 @@ TEST(ParallelEngineTest, QueuedTopologyEditDefersToEpochBoundary) {
   EXPECT_EQ(second, Millis(50));  // new latency
 }
 
+TEST(ParallelEngineTest, InFlightDeliveryMovesWithItsNode) {
+  // The migration rule for deliveries (Network::SetShardMap): a 0 -> 1
+  // delivery sent at 7 ms over the 10 ms link sits on shard 1's queue after
+  // the 10 ms barrier. A re-balance moves node 1 to shard 0; the delivery
+  // moves with it and fires there at its own deadline, 17 ms.
+  TwoShardNet f;
+  SimTime delivered_at = -1;
+  f.engine.queue(0)->Schedule(Millis(7), [&] {
+    f.net.Send(0, 1, 1, [&] { delivered_at = f.engine.queue(0)->now(); });
+  });
+  f.engine.RunUntil(Millis(10));
+  ASSERT_EQ(f.engine.queue(1)->pending(), 1u);
+  f.net.SetShardMap({0, 0});
+  EXPECT_EQ(f.engine.queue(1)->pending(), 0u);
+  EXPECT_EQ(f.engine.queue(0)->pending(), 1u);
+  f.engine.RunUntil(Millis(100));
+  EXPECT_EQ(delivered_at, Millis(17));
+  EXPECT_EQ(f.engine.queue(0)->executed(), 2u);  // the send and the delivery
+  EXPECT_EQ(f.engine.queue(1)->executed(), 0u);
+}
+
 TEST(ParallelEngineTest, MinCrossShardLatencySkipsDeadNodes) {
   // Lookahead re-derivation after a crash: links touching a dead node
   // carry no future traffic and must not narrow the epoch.
@@ -303,25 +324,6 @@ TEST(ParallelEngineTest, MinCrossShardLatencySkipsDeadNodes) {
 }
 
 // --- mid-run AddNode admission (Fsps control plane over this engine) ----
-
-TEST(ParallelEngineTest, AddNodeAfterStartRejectedWithoutElastic) {
-  FspsOptions opts;
-  opts.shards = 2;
-  Fsps fsps(opts);
-  fsps.AddNode();
-  fsps.AddNode(opts.node, 1);
-  fsps.RunFor(Millis(100));  // Start(): the non-elastic shard map freezes
-  Result<NodeId> late = fsps.AddNode(opts.node, 0);
-  ASSERT_FALSE(late.ok());
-  EXPECT_TRUE(late.status().IsFailedPrecondition());
-  // Before the engine starts the same call is fine, and a bad shard is an
-  // argument error, not a precondition.
-  Fsps fresh(opts);
-  fresh.AddNode();
-  EXPECT_TRUE(fresh.AddNode(opts.node, 1).ok());
-  EXPECT_TRUE(fresh.AddNode(opts.node, 7).status().IsInvalidArgument());
-  EXPECT_TRUE(fresh.AddNode(opts.node, -2).status().IsInvalidArgument());
-}
 
 TEST(ParallelEngineTest, AddNodeAfterStartAdmittedWhenElastic) {
   FspsOptions opts;
@@ -340,7 +342,7 @@ TEST(ParallelEngineTest, AddNodeAfterStartAdmittedWhenElastic) {
   // any sharded topology edit; the node is schedulable right after it.
   fsps.RunFor(Millis(100));
   EXPECT_EQ(fsps.live_node_ids().size(), 3u);
-  // Sequential engines always admitted late joins; elastic keeps that.
+  // A one-shard federation admits late joins too.
   FspsOptions seq_opts;
   Fsps seq(seq_opts);
   seq.AddNode();

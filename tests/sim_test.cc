@@ -2,6 +2,8 @@
 // network latency and statistics, and the migratable timer.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "sim/event_queue.h"
@@ -64,6 +66,50 @@ TEST(EventQueueTest, PastSchedulingClampsToNow) {
   q.Schedule(Millis(10), [&] { ran = true; });  // in the past
   q.RunUntil(Millis(50));
   EXPECT_TRUE(ran);
+}
+
+TEST(EventQueueTest, TakeIfTakesTaggedEventsInRunOrder) {
+  EventQueue q;
+  std::vector<int> order;
+  auto push = [&order](int i) { return [&order, i] { order.push_back(i); }; };
+  // Untagged and tag-1 events stay; the tag-2 events are taken out.
+  q.Schedule(Millis(30), push(0), 2);
+  q.Schedule(Millis(10), push(1), 1);
+  q.Schedule(Millis(20), push(2));
+  q.Schedule(Millis(10), push(3), 2);
+  q.Schedule(Millis(20), push(4), 1);
+  q.Schedule(Millis(10), push(5), 2);
+  q.Schedule(Millis(20), push(6));
+  std::vector<EventQueue::Taken> taken;
+  q.TakeIf([](int32_t tag) { return tag == 2; }, &taken);
+  EXPECT_EQ(q.pending(), 4u);
+
+  // Taken in (time, seq) order, with their deadlines and tags.
+  ASSERT_EQ(taken.size(), 3u);
+  EXPECT_EQ(taken[0].time, Millis(10));
+  EXPECT_EQ(taken[1].time, Millis(10));
+  EXPECT_EQ(taken[2].time, Millis(30));
+  EventQueue other;
+  for (EventQueue::Taken& ev : taken) {
+    EXPECT_EQ(ev.tag, 2);
+    other.Schedule(ev.time, std::move(ev.cb), ev.tag);
+  }
+  other.RunAll();
+  EXPECT_EQ(order, (std::vector<int>{3, 5, 0}));
+
+  // Untagged events never match, whatever the predicate says.
+  taken.clear();
+  q.TakeIf([](int32_t) { return true; }, &taken);
+  ASSERT_EQ(taken.size(), 2u);
+  EXPECT_EQ(taken[0].tag, 1);
+  EXPECT_EQ(taken[1].time, Millis(20));
+  for (EventQueue::Taken& ev : taken) q.Schedule(ev.time, std::move(ev.cb));
+
+  // The rest still run in time order, FIFO among equal times (the taken
+  // tag-1 events re-scheduled last).
+  order.clear();
+  q.RunAll();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 6, 4}));
 }
 
 TEST(NetworkTest, DefaultLatencyApplied) {
